@@ -38,10 +38,6 @@ class ComparabilityWindow:
         return d1 <= self.bigA * d2 ** self.theta and d2 <= self.bigA * d1 ** self.theta
 
 
-def weakly_comparable(d1: float, d2: float, window: ComparabilityWindow) -> bool:
-    return window.contains(d1, d2)
-
-
 @dataclass
 class BallEstimate:
     """A computed ball: cells, volume, projections, Pi-extent, slab profile."""
@@ -57,11 +53,10 @@ class BallEstimate:
     volume: float
     proj1: LatticeSet
     proj2: LatticeSet
-    pi_cols: np.ndarray
+    pi_cols: np.ndarray  # occupied Pi columns, sorted
     pi_extent: float
     c_geom: float
-    slab_bins: np.ndarray
-    slab_values: np.ndarray
+    slab_values: np.ndarray  # measure of the ball in each column of pi_cols
     truncated: bool
 
     @property
@@ -100,7 +95,6 @@ class BallEstimate:
             pi_cols=self.pi_cols + shift_cells,
             pi_extent=self.pi_extent,
             c_geom=self.c_geom,
-            slab_bins=self.slab_bins + shift_cells,
             slab_values=self.slab_values.copy(),
             truncated=self.truncated,
         )
@@ -155,15 +149,14 @@ def pi2_cells(model: ModelFamily, cells: np.ndarray, h: float) -> np.ndarray:
 
 def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys, truncated) -> BallEstimate:
     d = model.d
-    cells = decode_keys(np.sort(keys), d + 1)
-    zset = LatticeSet(h, cells, _sorted=False)
+    cells = decode_keys(keys, d + 1)
+    zset = LatticeSet(h, cells, _sorted=True)
     volume = zset.measure
     proj1 = zset.project(range(d))
     ycells = pi2_cells(model, cells, h)
     proj2 = LatticeSet(h, ycells)
-    pi_cols = np.unique(ycells[:, 0])
+    pi_cols, counts = np.unique(ycells[:, 0], return_counts=True)
     pi_extent = pi_cols.shape[0] * h
-    bins, counts = np.unique(ycells[:, 0], return_counts=True)
     slab_values = counts * h ** d
     return BallEstimate(
         model_name=name,
@@ -180,7 +173,6 @@ def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys,
         pi_cols=pi_cols,
         pi_extent=pi_extent,
         c_geom=pi_extent / d1,
-        slab_bins=bins,
         slab_values=slab_values,
         truncated=truncated,
     )
@@ -193,7 +185,6 @@ def reach_ball(
     delta2: float,
     h: float,
     tau: float | None = None,
-    rep_refine: float | None = None,
 ) -> BallEstimate:
     """Breadth-first reachable-cell fixpoint under the nine extreme controls.
 
@@ -214,11 +205,8 @@ def reach_ball(
     rounds = math.ceil(1.0 / tau - 1e-12)
     tau = 1.0 / rounds
     controls = [(a1, a2) for a1 in (-delta1, 0.0, delta1) for a2 in (-delta2, 0.0, delta2)]
-    if rep_refine is not None:
-        h_rep = h / rep_refine
-    else:
-        stride = (delta1 + delta2) * tau
-        h_rep = min(max(stride, h / 4.0), h / 2.0)
+    stride = (delta1 + delta2) * tau
+    h_rep = min(max(stride, h / 4.0), h / 2.0)
 
     visited = encode_cells(np.floor(z0 / h + 0.5).astype(np.int64)[None, :])
     active = z0[None, :].copy()
@@ -310,7 +298,7 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, st
 
 def slab_profile(ball: BallEstimate) -> list:
     """Pairs (t, f(t)): d-dimensional measure of the ball in each Pi-slab of width h."""
-    ts = (ball.slab_bins + 0.5) * ball.h
+    ts = (ball.pi_cols + 0.5) * ball.h
     return list(zip(ts.tolist(), ball.slab_values.tolist()))
 
 

@@ -248,38 +248,9 @@ def _region_from_params(model, params, threads):
         kwargs["delta_grid"] = tuple(params["delta_grid"])
     if "z_samples" in params:
         kwargs["z_samples"] = [tuple(z) for z in params["z_samples"]]
-
-    runner = None
-    if threads > 1:
-        from .exponents import _region_sequences, default_h_rule as _dh, default_windows, default_z_samples
-
-        win = windows if windows is not None else default_windows()
-        seqs = _region_sequences(win, kwargs.get("delta_grid", (2.0 ** -4, 2.0 ** -5, 2.0 ** -6)))
-        zs = kwargs.get("z_samples") or default_z_samples(model)
-        jobs = []
-        seen = set()
-        for seq in seqs:
-            for d1, d2 in zip(seq.delta1, seq.delta2):
-                hh = _dh(d1, d2)
-                for z in zs:
-                    key = (tuple(z), round(d1, 14), round(d2, 14), round(hh, 14))
-                    if key not in seen:
-                        seen.add(key)
-                        jobs.append((z, d1, d2, hh))
-        results = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(reach_ball, model, z, d1, d2, hh): (z, d1, d2, hh) for z, d1, d2, hh in jobs}
-            for fut, key in futures.items():
-                z, d1, d2, hh = key
-                results[(tuple(z), round(d1, 14), round(d2, 14), round(hh, 14))] = fut.result()
-
-        def runner(model_, z, d1, d2, h, tau=None):
-            key = (tuple(np.asarray(z, dtype=float).tolist()), round(d1, 14), round(d2, 14), round(h, 14))
-            if key in results:
-                return results[key]
-            return reach_ball(model_, z, d1, d2, h, tau=tau)
-
-    return estimate_region(model, windows=windows, ball_runner=runner, **kwargs)
+    return estimate_region(
+        model, windows=windows, pool_map=lambda fn, jobs: _pool_map(fn, jobs, threads), **kwargs
+    )
 
 
 def run_region(scenario: dict, out_dir: Path, seed, threads: int) -> dict:

@@ -556,10 +556,7 @@ def dense_ball_search(
         for d1, d2 in delta_pairs:
             if h > min(d1, d2) / 4.0:
                 continue
-            try:
-                ball = reach_ball(model, z, d1, d2, h, tau=tau)
-            except Exception:
-                continue
+            ball = reach_ball(model, z, d1, d2, h, tau=tau)
             inter = ball.cells.intersection(omega)
             density = inter.n_cells / ball.cells.n_cells
             evaluations.append(

@@ -316,7 +316,7 @@ def estimate_region(
     outside_rate: float = OUTSIDE_RATE,
     min_cells: int = 10,
     snap: bool = True,
-    ball_runner=None,
+    pool_map=map,
 ) -> RegionEstimate:
     """Estimate the admissible (c1, c2) region from ball volumes.
 
@@ -330,8 +330,9 @@ def estimate_region(
 
     With ``snap`` the fitted volume rates are snapped to the integer-weight
     lattice of polynomial models, which removes the small covering-inflation
-    drift of the raw fits.  ``ball_runner`` (a callable like reach_ball)
-    exists for parallel dispatch.
+    drift of the raw fits.  Each unique ball job (z, d1, d2, h) runs once,
+    through ``pool_map(fn, jobs)``: the builtin ``map`` by default, or a
+    pooled map with the same result order.
     """
     if windows is None:
         windows = default_windows()
@@ -349,27 +350,26 @@ def estimate_region(
         h_rule = lambda d1, d2: float(h)  # noqa: E731
     else:
         h_rule = h
-    runner = ball_runner or (lambda *a, **kw: reach_ball(*a, **kw))
 
     sequences = _region_sequences(windows, delta_grid)
-    cache = {}
+    zkeys = [tuple(as_zarray(z, model.dim_z).tolist()) for z in z_samples]
+    # plan[s][k]: the jobs of the k-th radius pair of sequences[s], one per z
+    plan = [
+        [[(zk, d1, d2, h_rule(d1, d2)) for zk in zkeys] for d1, d2 in zip(seq.delta1, seq.delta2)]
+        for seq in sequences
+    ]
+    jobs = list(dict.fromkeys(job for seq_plan in plan for point in seq_plan for job in point))
+
+    def run(job):
+        ball = reach_ball(model, *job, tau=tau)
+        return ball.volume, ball.cells.n_cells
+
+    results = dict(zip(jobs, pool_map(run, jobs)))
     resolution_limited = False
     z_spread_ok = True
-    for seq in sequences:
-        for d1, d2 in zip(seq.delta1, seq.delta2):
-            hh = h_rule(d1, d2)
-            vols = []
-            for z in z_samples:
-                key = (
-                    tuple(np.round(as_zarray(z, model.dim_z), 12).tolist()),
-                    round(d1, 14),
-                    round(d2, 14),
-                    round(hh, 14),
-                )
-                if key not in cache:
-                    ball = runner(model, z, d1, d2, hh, tau=tau)
-                    cache[key] = (ball.volume, ball.cells.n_cells)
-                vols.append(cache[key])
+    for seq, seq_plan in zip(sequences, plan):
+        for point in seq_plan:
+            vols = [results[job] for job in point]
             if any(n < min_cells for _, n in vols):
                 resolution_limited = True
             vals = [v for v, _ in vols]

@@ -328,15 +328,11 @@ def _poly_bracket(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_field_matrix(mat: np.ndarray, t: float) -> np.ndarray:
-    return npoly.polyval(t, mat)
-
-
 def lie_bracket_exact(model: ModelFamily, z, i: int, j: int) -> TangentVector:
     """[V_i, V_j](z) from the polynomial field representation."""
     arr = as_zarray(z, model.dim_z)
     mat = _poly_bracket(_field_matrix(model, i), _field_matrix(model, j))
-    comp = _eval_field_matrix(mat, arr[-1])
+    comp = npoly.polyval(arr[-1], mat)
     return TangentVector(base=ZPoint.from_array(arr), components=tuple(comp.tolist()))
 
 
@@ -390,6 +386,6 @@ def bracket_rank(model: ModelFamily, z, depth: int, v1_scale: float = 1.0, v2_sc
     """
     arr = as_zarray(z, model.dim_z)
     gens = _bracket_generators(model, depth, v1_scale, v2_scale)
-    rows = np.stack([_eval_field_matrix(g, arr[-1]) for g in gens])
+    rows = np.stack([npoly.polyval(arr[-1], g) for g in gens])
     scale = max(1.0, float(np.abs(rows).max()))
     return int(np.linalg.matrix_rank(rows, tol=1e-9 * scale))

@@ -126,9 +126,6 @@ class LatticeSet:
     def keys(self) -> np.ndarray:
         return self._keys
 
-    def centers(self) -> np.ndarray:
-        return self.cells * self.h
-
     def bounds(self):
         """Per-axis (min index, max index) pairs; raises on empty set."""
         if self.is_empty:

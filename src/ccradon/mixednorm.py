@@ -40,14 +40,6 @@ class MixedExponents:
             if not (e >= 1.0):
                 raise ConfigError(f"exponents must lie in [1, inf], got {e}")
 
-    @property
-    def q_conj(self) -> float:
-        return conjugate(self.q)
-
-    @property
-    def r_conj(self) -> float:
-        return conjugate(self.r)
-
 
 @dataclass
 class GridFunctionY:
@@ -59,12 +51,6 @@ class GridFunctionY:
     h: float
     origin: tuple
     values: np.ndarray
-
-    @classmethod
-    def zeros(cls, d: int, h: float, halfwidth: float = 1.0) -> "GridFunctionY":
-        n_half = math.ceil(halfwidth / h - 1e-12)
-        shape = (2 * n_half,) * d
-        return cls(h=h, origin=(-n_half,) * d, values=np.zeros(shape))
 
     @classmethod
     def from_lattice_set(cls, ls: LatticeSet) -> "GridFunctionY":
@@ -82,10 +68,6 @@ class GridFunctionY:
     @property
     def d(self) -> int:
         return self.values.ndim
-
-    def support(self) -> LatticeSet:
-        idx = np.argwhere(self.values != 0)
-        return LatticeSet(self.h, idx + np.asarray(self.origin, dtype=np.int64))
 
     def norm(self, q: float, r: float) -> float:
         return mixed_norm_grid(self.values, self.h, q, r)

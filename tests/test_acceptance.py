@@ -175,14 +175,10 @@ def test_criterion_03_volume_law_literal(volume_law_literal):
         )
 
 
-def test_criterion_03_companion_adapted_resolution():
+def test_criterion_03_companion_adapted_resolution(volume_law_literal):
     with criterion("3b", "volume-law slope 4 +/- 0.3 at thin-adapted lattice h = 2 delta^2"):
-        logs = []
-        for k in (3, 4, 5, 6):
-            d = 2.0 ** -k
-            ball = reach_ball(PARABOLA, (0.0, 0.0, 0.0), d, d, 2.0 * d * d)
-            logs.append(math.log2(ball.volume))
-        slope = float(np.polyfit([-3.0, -4.0, -5.0, -6.0], logs, 1)[0])
+        x = np.log2([row["delta"] for row in volume_law_literal])
+        slope = float(np.polyfit(x, np.log2([row["reach"] for row in volume_law_literal]), 1)[0])
         assert abs(slope - 4.0) <= 0.3, slope
 
 

@@ -245,6 +245,13 @@ class TestDenseBallSearch:
         assert res.density == pytest.approx(1.0)
         assert res.meets_bound and res.meets_swapped
 
+    def test_bad_radii_raise_instead_of_skipping(self, parabola):
+        # the caller's error surfaces; it is not reported as "no admissible pair"
+        d = 2.0 ** -4
+        ball = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, d / 8)
+        with pytest.raises(ConfigError, match="radii must lie"):
+            dense_ball_search(parabola, ball.cells, [(0.9, 0.9)])
+
     def test_two_distant_balls(self, parabola):
         d = 2.0 ** -4
         h = d / 8

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccradon.ccball import ComparabilityWindow
 from ccradon.errors import DegenerateError, OrderingError
 from ccradon.exponents import (
     ExponentTriple,
     c_from_pq,
     c_from_pqr,
     classify_triple,
+    default_h_rule,
+    estimate_region,
     gammas,
     interpolation_window,
 )
@@ -123,3 +126,29 @@ class TestRegionStructure:
         )
         with pytest.raises(OrderingError):
             classify_triple((2, 3, 1.5), reg)
+
+    def test_region_plans_each_ball_once(self, parabola):
+        grid = (2.0 ** -4, 2.0 ** -5)
+        kwargs = dict(
+            windows=[ComparabilityWindow(theta=1.0, bigA=1.0)],
+            delta_grid=grid,
+            z_samples=[(0, 0, 0), (0.0, 0.0, 0.0)],
+            c1_grid=np.arange(1.5, 2.6, 0.5),
+            c2_grid=np.arange(1.5, 2.6, 0.5),
+        )
+        planned = []
+
+        def counting_map(fn, jobs):
+            planned.extend(jobs)
+            return [fn(job) for job in jobs]
+
+        reg = estimate_region(parabola, pool_map=counting_map, **kwargs)
+        # both orientations of the theta = 1 window share the radii, and the
+        # int and float centres share one key: one job per radius
+        assert planned == [((0.0, 0.0, 0.0), d, d, default_h_rule(d, d)) for d in grid]
+        ref = estimate_region(parabola, **kwargs)
+        assert len(reg.sequences) == 2
+        np.testing.assert_array_equal(reg.infimum, ref.infimum)
+        np.testing.assert_array_equal(reg.worst_rate, ref.worst_rate)
+        np.testing.assert_array_equal(reg.classification, ref.classification)
+        assert reg.meta == ref.meta
