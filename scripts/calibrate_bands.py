@@ -25,6 +25,8 @@ def main():
     grid = [(theta, 2.0 ** -k) for theta in (0.5, 0.75, 1.0) for k in (3, 4, 5)]
     env = {}
     slab_consts = []
+    # theta = 1 balls at h0 are the rwt sweep's reach_ball(d, d, default_h_rule(d, d))
+    rwt_balls = {}
     t0 = time.time()
     for theta, d1 in grid:
         d2 = d1 ** theta
@@ -36,6 +38,8 @@ def main():
             for key, val in rep["ratios"].items():
                 lo, hi = env.get(key, (math.inf, -math.inf))
                 env[key] = (min(lo, val), max(hi, val))
+            if theta == 1.0 and h == h0:
+                rwt_balls[d1] = ball
             fmax = max(f for _, f in slab_profile(ball))
             slab_consts.append(fmax * d1 / ball.volume)
             print(f"theta={theta} d1={d1:g} h={h:g} ratios=" +
@@ -45,8 +49,9 @@ def main():
     rwt_vals = []
     for k in (3, 4, 5, 6):
         d = 2.0 ** -k
-        h = default_h_rule(d, d)
-        ball = reach_ball(model, (0.0, 0.0, 0.0), d, d, h)
+        ball = rwt_balls.get(d)
+        if ball is None:
+            ball = reach_ball(model, (0.0, 0.0, 0.0), d, d, default_h_rule(d, d))
         rwt_vals.append(rwt_ratio(model, ball.proj1, ball.proj2, 5.0 / 3.0, 3.0, 3.0))
     print(f"# rwt(5/3,3,3) sweep: {rwt_vals}", file=sys.stderr)
 

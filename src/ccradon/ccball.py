@@ -212,7 +212,7 @@ def reach_ball(
     active = z0[None, :].copy()
     truncated = False
     for _ in range(rounds):
-        batches = [rk4_many(model, active, a1, a2, tau, substeps=1) for a1, a2 in controls]
+        batches = [rk4_many(model, active, a1, a2, tau) for a1, a2 in controls]
         pts = np.concatenate(batches, axis=0)
         inside = model.contains(pts)
         if not inside.all():
@@ -246,33 +246,29 @@ class McBall:
     n_escaped: int
 
 
-def _integrate_paths(model: ModelFamily, z0: np.ndarray, controls: np.ndarray, steps: int) -> tuple:
+def _integrate_paths(model: ModelFamily, z0: np.ndarray, controls: np.ndarray) -> tuple:
     """Integrate piecewise-constant control paths; returns (endpoints, alive mask).
 
-    ``controls`` is (paths, pieces, 2); total time is 1, RK4 uses ``steps``
-    integration steps distributed over the pieces.  Paths leaving the chart
-    are dropped (once out, always out).
+    ``controls`` is (paths, pieces, 2); total time is 1, one RK4 step per
+    piece (exact while gamma has degree <= 4).  Paths leaving the chart are
+    dropped (once out, always out).
     """
     n_paths, pieces, _ = controls.shape
-    substeps = max(1, round(steps / pieces))
-    dt = (1.0 / pieces) / substeps
+    dt = 1.0 / pieces
     pts = np.tile(z0, (n_paths, 1))
     alive = np.ones(n_paths, dtype=bool)
     for k in range(pieces):
-        a1 = controls[:, k, 0]
-        a2 = controls[:, k, 1]
-        for _ in range(substeps):
-            pts = rk4_many(model, pts, a1, a2, dt, substeps=1)
-            alive &= model.contains(pts)
+        pts = rk4_many(model, pts, controls[:, k, 0], controls[:, k, 1], dt)
+        alive &= model.contains(pts)
     return pts, alive
 
 
-def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, steps: int = 32, seed: int = 0, h: float | None = None) -> McBall:
+def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, seed: int = 0, h: float | None = None) -> McBall:
     """Random-control oracle for reach_ball.
 
     Controls are piecewise constant on MC_CONTROL_PIECES intervals, sampled
-    uniformly from the product box; ``steps`` sets integration resolution only.
-    Endpoints are binned into cells of edge ``h`` (default min(d1,d2)/8).
+    uniformly from the product box.  Endpoints are binned into cells of edge
+    ``h`` (default min(d1,d2)/8).
     """
     if paths < 1000:
         raise ConfigError("mc_ball requires paths >= 1000")
@@ -284,7 +280,7 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, st
     controls = rng.uniform(-1.0, 1.0, size=(paths, MC_CONTROL_PIECES, 2))
     controls[:, :, 0] *= delta1
     controls[:, :, 1] *= delta2
-    pts, alive = _integrate_paths(model, z0, controls, steps)
+    pts, alive = _integrate_paths(model, z0, controls)
     endpoints = pts[alive]
     cells = LatticeSet.from_points(endpoints, h) if endpoints.size else LatticeSet.empty(h, model.dim_z)
     return McBall(

@@ -148,6 +148,8 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
     d1 = _require(params, "delta1", "parameters.delta1")
     d2 = _require(params, "delta2", "parameters.delta2")
     center = params.get("center", [0.0] * model.dim_z)
+    if "steps" in params.get("mc", {}):
+        raise click.UsageError("parameters.mc.steps is not supported: mc flows take one step per control piece, exact for curves of degree <= 4")
     ball = reach_ball(model, center, d1, d2, h, tau=params.get("tau"))
     report = {"command": "ball", "parameters": _sanitize(params), "model": model.to_json_dict(), "ball": ball.to_report(), "passed": True}
     if "mc" in params:
@@ -159,7 +161,6 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
             d1,
             d2,
             paths=_require(params["mc"], "paths", "parameters.mc.paths"),
-            steps=params["mc"].get("steps", 32),
             seed=seed,
             h=h,
         )

@@ -85,7 +85,7 @@ def volume_law_literal():
         d = 2.0 ** -k
         h = 2.0 * d * d
         ball = reach_ball(PARABOLA, (0.0, 0.0, 0.0), d, d, h)
-        mc = mc_ball(PARABOLA, (0.0, 0.0, 0.0), d, d, paths=1_000_000, steps=32, seed=2024, h=h)
+        mc = mc_ball(PARABOLA, (0.0, 0.0, 0.0), d, d, paths=1_000_000, seed=2024, h=h)
         rows.append({"delta": d, "reach": ball.volume, "mc": mc.volume})
     return rows
 
@@ -383,7 +383,7 @@ def test_criterion_13_determinism(tmp_path):
                 "delta1": 0.0625,
                 "delta2": 0.0625,
                 "h": 0.0078125,
-                "mc": {"paths": 5000, "steps": 16},
+                "mc": {"paths": 5000},
             },
         }
         region_scenario = {

@@ -14,7 +14,7 @@ BALL_SCENARIO = {
         "delta1": 0.0625,
         "delta2": 0.0625,
         "h": 0.0078125,
-        "mc": {"paths": 5000, "steps": 16},
+        "mc": {"paths": 5000},
     },
 }
 
@@ -56,6 +56,16 @@ class TestBallCommand:
         result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "seed" in result.output
+
+    def test_mc_steps_rejected(self, runner, tmp_path):
+        bad = json.loads(json.dumps(BALL_SCENARIO))
+        bad["parameters"]["mc"]["steps"] = 16
+        scen = write_scenario(tmp_path, bad)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "parameters.mc.steps" in result.output
+        assert not (out / "ball_report.json").exists()
 
     def test_resolution_exit_code(self, runner, tmp_path):
         bad = json.loads(json.dumps(BALL_SCENARIO))

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from ccradon.geometry import (
     lie_bracket,
     lie_bracket_exact,
     load_model,
+    rk4_many,
 )
 
 
@@ -33,6 +37,33 @@ def closed_flow_parabola(x1, x2, t, a1, a2, s):
         dx1 = -a2 * s
         dx2 = -a2 * 2.0 * t * s
     return np.array([x1 + dx1, x2 + dx2, tn])
+
+
+def exact_constant_control_step(curve, x, t, a1, a2, tau):
+    """Exact endpoint of a constant-control flow, in rationals.
+
+    t moves to t + v tau (v = a1 + a2) and x to x - a2 (gamma(t + v tau) -
+    gamma(t)) / v, or x - a2 tau gamma'(t) when v = 0.
+    """
+    t, a1, a2, tau = (Fraction(c) for c in (t, a1, a2, tau))
+    v = a1 + a2
+    tn = t + v * tau
+    out = []
+    for xi, coeffs in zip(x, curve):
+        c = [Fraction(ck) for ck in coeffs]
+        if v:
+            dx = sum(ck * (tn ** k - t ** k) for k, ck in enumerate(c)) / v
+        else:
+            dx = tau * sum(k * ck * t ** (k - 1) for k, ck in enumerate(c) if k)
+        out.append(Fraction(xi) - a2 * dx)
+    return out + [tn]
+
+
+def fifth_derivative_bound(coeffs, t_abs_max):
+    """Upper bound of |gamma_i^(5)| on |t| <= t_abs_max from the coefficients."""
+    return sum(
+        abs(ck) * math.perm(k, 5) * t_abs_max ** (k - 5) for k, ck in enumerate(coeffs) if k >= 5
+    )
 
 
 class TestFields:
@@ -72,8 +103,49 @@ class TestFlow:
         for _ in range(10):
             x1, x2, t = rng.uniform(-0.3, 0.3, size=3)
             s = rng.uniform(-0.3, 0.3)
-            end = flow(parabola, (x1, x2, t), (0.0, 1.0), s, steps=64)
+            end = flow(parabola, (x1, x2, t), (0.0, 1.0), s)
             assert np.allclose(end.as_array(), closed_flow_parabola(x1, x2, t, 0.0, 1.0, s), atol=1e-8)
+
+    def test_rk4_step_exact_for_builtin_curves(self, models, rng):
+        # gamma' has degree <= 3 for the built-in curves, so one step is exact
+        # to roundoff, also where the closed form divides by a tiny v
+        tau = 0.125
+        for name in ("parabola", "cubic", "quartic"):
+            model = models[name]
+            n = 16
+            for speed in (0.0, 1e-12, 1e-6, 0.3):
+                pts = rng.uniform(-0.5, 0.5, size=(n, model.dim_z))
+                a2 = rng.uniform(-0.5, 0.5, size=n)
+                a1 = np.where(np.arange(n) % 2, speed, -speed) - a2
+                per_path = rk4_many(model, pts, a1, a2, tau)
+                scalar = rk4_many(model, pts, float(a1[0]), float(a2[0]), tau)
+                for i in range(n):
+                    exact = exact_constant_control_step(model.curve, pts[i, :-1], pts[i, -1], a1[i], a2[i], tau)
+                    err = max(abs(float(Fraction(got) - want)) for got, want in zip(per_path[i], exact))
+                    assert err <= 1e-14, (name, speed, i, err)
+                    exact = exact_constant_control_step(model.curve, pts[i, :-1], pts[i, -1], a1[0], a2[0], tau)
+                    err = max(abs(float(Fraction(got) - want)) for got, want in zip(scalar[i], exact))
+                    assert err <= 1e-14, (name, speed, i, err)
+
+    def test_rk4_step_within_simpson_bound_for_degree_8(self, rng):
+        # Simpson's rule on [t, t + v tau]: |error in x_i| <= |a2| tau (|v| tau)^4 / 2880 max|gamma_i^(5)|
+        model = load_model({"curve": [[0, 1], [0, 0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9]]})
+        tau = 0.125
+        worst = 0.0
+        for _ in range(64):
+            x1, x2, t = rng.uniform(-0.5, 0.5, size=3)
+            a1, a2 = rng.uniform(-0.75, 0.75, size=2)
+            got = rk4_many(model, np.array([[x1, x2, t]]), a1, a2, tau)[0]
+            exact = exact_constant_control_step(model.curve, (x1, x2), t, a1, a2, tau)
+            v = a1 + a2
+            reach = max(abs(t), abs(t + v * tau))
+            for i, coeffs in enumerate(model.curve):
+                bound = abs(a2) * tau * (abs(v) * tau) ** 4 / 2880.0 * fifth_derivative_bound(coeffs, reach)
+                err = abs(float(Fraction(got[i]) - exact[i]))
+                assert err <= bound + 1e-14, (i, err, bound)
+                worst = max(worst, err)
+        # the oracle sees the integration error of a degree-8 curve
+        assert worst > 1e-12
 
     def test_zero_duration(self, parabola):
         z = ZPoint(x=(0.1, 0.2), t=0.05)
