@@ -24,7 +24,8 @@ SLAB_MAX_F_CONST = 0.8696
 # positive restricted-weak-type sweep at (5/3, 3, 3) on ball pairs
 RWT_BOUND_533 = 0.8291
 
-# quadrature vs Z-lattice pairing agreement at h = 2^-7 (stated, not calibrated)
+# Z-lattice pairing vs the continuum box integral over the node window,
+# at h = 2^-7 (stated, not calibrated)
 PAIRING_BAND = (0.9, 1.1)
 
 # "doubles per halving, within 25%" (stated, not calibrated)

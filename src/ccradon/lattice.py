@@ -137,32 +137,25 @@ class LatticeSet:
         if abs(other.h - self.h) > 1e-15 * self.h or other.dim != self.dim:
             raise ConfigError("lattice sets must share h and dim")
 
-    def union(self, other: "LatticeSet") -> "LatticeSet":
-        self._check_mate(other)
-        keys = np.union1d(self._keys, other._keys)
+    def _from_keys(self, keys: np.ndarray) -> "LatticeSet":
+        """A set on this lattice from sorted unique keys."""
         out = LatticeSet.__new__(LatticeSet)
         out.h = self.h
         out.cells = decode_keys(keys, self.dim)
         out._keys = keys
         return out
+
+    def union(self, other: "LatticeSet") -> "LatticeSet":
+        self._check_mate(other)
+        return self._from_keys(np.union1d(self._keys, other._keys))
 
     def intersection(self, other: "LatticeSet") -> "LatticeSet":
         self._check_mate(other)
-        keys = np.intersect1d(self._keys, other._keys, assume_unique=True)
-        out = LatticeSet.__new__(LatticeSet)
-        out.h = self.h
-        out.cells = decode_keys(keys, self.dim)
-        out._keys = keys
-        return out
+        return self._from_keys(np.intersect1d(self._keys, other._keys, assume_unique=True))
 
     def difference(self, other: "LatticeSet") -> "LatticeSet":
         self._check_mate(other)
-        keys = np.setdiff1d(self._keys, other._keys, assume_unique=True)
-        out = LatticeSet.__new__(LatticeSet)
-        out.h = self.h
-        out.cells = decode_keys(keys, self.dim)
-        out._keys = keys
-        return out
+        return self._from_keys(np.setdiff1d(self._keys, other._keys, assume_unique=True))
 
     def issubset(self, other: "LatticeSet") -> bool:
         self._check_mate(other)

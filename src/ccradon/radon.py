@@ -1,10 +1,14 @@
 """Discrete curve-integration transform, adjoint, pairings and necessity tests.
 
 The transform averages over the model curve: Tf(y) = sum_j f(y - gamma(t_j)) dt
-with midpoint nodes t_j on the t-lattice (dt = h).  The adjoint uses the
-mirrored index shifts of T, so discrete duality <Tf, g> = <f, T*g> holds to
-float roundoff.  Because gamma_1(t) = t, the first-coordinate geometry is exact
-integer arithmetic on cell indices throughout.
+with nodes t_j = j*h on the t-lattice (dt = h).  A window (a, b) takes the
+nodes whose centres lie in [a, b); each carries weight h, so the sums integrate
+t over [j0*h - h/2, j1*h - h/2), which for (-1, 1) is [-1 - h/2, 1 - h/2).
+The adjoint uses the mirrored index shifts of T, so discrete duality
+<Tf, g> = <f, T*g> holds to float roundoff.  Pairings, incidence sets and
+superlevel fibers all come from one join, ``_incidence``, over the same shift
+table.  Because gamma_1(t) = t, the first-coordinate geometry is exact integer
+arithmetic on cell indices throughout.
 """
 from __future__ import annotations
 
@@ -46,7 +50,11 @@ def grid_from_lattice(ls: LatticeSet) -> GridFunctionY:
 
 
 def t_node_range(h: float, window=(-1.0, 1.0)) -> np.ndarray:
-    """Integer t-cell indices whose centers lie in the window."""
+    """Integer t-cell indices j0..j1-1 whose centers j*h lie in [window[0], window[1]).
+
+    Each node carries weight h, so sums over them integrate t over
+    [j0*h - h/2, j1*h - h/2): [-1 - h/2, 1 - h/2) for the default window.
+    """
     j0 = int(math.ceil(window[0] / h - 1e-9))
     j1 = int(math.ceil(window[1] / h - 1e-9))  # exclusive
     return np.arange(j0, j1, dtype=np.int64)
@@ -83,112 +91,84 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, shift, weight: float):
     dst[tuple(dst_sl)] += weight * src[tuple(src_sl)]
 
 
+def _shift_sum(model: ModelFamily, f: GridFunctionY, t_window, sign: int) -> GridFunctionY:
+    """sum_j f[k + sign * s_j] h over the window's nodes: T for sign 1, T* for -1."""
+    if f.values.ndim != model.d:
+        raise ConfigError(f"grid has {f.values.ndim} axes, model {model.name!r} has d = {model.d}")
+    h = f.h
+    out = GridFunctionY(h=h, origin=f.origin, values=np.zeros_like(f.values))
+    for s in _shifts(model, h, t_node_range(h, t_window)):
+        _shift_add(out.values, f.values, sign * s, h)
+    return out
+
+
 def apply_T(model: ModelFamily, f: GridFunctionY, t_window=(-1.0, 1.0)) -> GridFunctionY:
     """Tf(y) = sum_j f(y - gamma(t_j)) dt on the shared dense grid."""
-    h = f.h
-    t_cells = t_node_range(h, t_window)
-    shifts = _shifts(model, h, t_cells)
-    out = GridFunctionY(h=h, origin=f.origin, values=np.zeros_like(f.values))
-    for s in shifts:
-        _shift_add(out.values, f.values, s, h)
-    return out
+    return _shift_sum(model, f, t_window, 1)
 
 
 def apply_Tstar(model: ModelFamily, g: GridFunctionY, t_window=(-1.0, 1.0)) -> GridFunctionY:
     """T*g(x) = sum_j g(x + gamma(t_j)) dt, the exact transpose of apply_T."""
-    h = g.h
-    t_cells = t_node_range(h, t_window)
-    shifts = _shifts(model, h, t_cells)
-    out = GridFunctionY(h=h, origin=g.origin, values=np.zeros_like(g.values))
-    for s in shifts:
-        _shift_add(out.values, g.values, -s, h)
-    return out
+    return _shift_sum(model, g, t_window, -1)
+
+
+def _incidence(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window) -> tuple:
+    """The incidence pairs (x, t_j): x in E, y = x - s_j in F, so x is the cell
+    of y - gamma(t_j) and the pair counts once in <T chi_E, chi_F>.
+
+    Returns (rows, t): indices into E.cells and their t-cells, ordered by t-cell
+    and then by row.  Only t-cells that the exact relation y1 = x1 + t lets
+    connect E to F are probed.
+    """
+    if abs(F.h - E.h) > 1e-15 * E.h:
+        raise ConfigError("E and F must share the lattice edge h")
+    if not E.dim == F.dim == model.d:
+        raise ConfigError(f"E and F must have the model dimension d = {model.d}, got {E.dim} and {F.dim}")
+    t_cells = t_node_range(E.h, t_window)
+    t_cells = t_cells[(t_cells >= F.cells[:, 0].min() - E.cells[:, 0].max())
+                      & (t_cells <= F.cells[:, 0].max() - E.cells[:, 0].min())]
+    f_keys = F.keys()
+    hits = [np.flatnonzero(np.isin(encode_cells(E.cells - s), f_keys)) for s in _shifts(model, E.h, t_cells)]
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *hits])
+    return rows, np.repeat(t_cells, [hit.size for hit in hits])
 
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Quadrature pairing vs Z-lattice incidence measure for one (E, F) pair."""
+    """<T chi_E, chi_F> for one (E, F) pair.
+
+    Both fields hold the same value, the incidence count times h^(d+1): the
+    node sum of T chi_E against chi_F counts exactly the lattice cells of
+    Omega = pi1^-1(E) cap pi2^-1(F).
+    """
 
     quadrature: float
     lattice: float
-    c_pair: float
-
-    @property
-    def comparable(self) -> bool:
-        return self.c_pair < math.inf
-
-
-def _compatible_t_cells(E: LatticeSet, F: LatticeSet, h: float, t_window) -> np.ndarray:
-    """t-cells that can connect E to F through the exact first-coordinate
-    relation y1 = x1 + t (everything else only shrinks the incidence)."""
-    t_cells = t_node_range(h, t_window)
-    if E.is_empty or F.is_empty:
-        return t_cells[:0]
-    e_lo, e_hi = E.cells[:, 0].min(), E.cells[:, 0].max()
-    f_lo, f_hi = F.cells[:, 0].min(), F.cells[:, 0].max()
-    return t_cells[(t_cells >= f_lo - e_hi) & (t_cells <= f_hi - e_lo)]
 
 
 def pairing(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window=(-1.0, 1.0), min_cells: int = 10) -> PairingResult:
-    """<T chi_E, chi_F> by quadrature and |pi1^-1(E) cap pi2^-1(F)| by Z-cells.
+    """<T chi_E, chi_F> = |pi1^-1(E) cap pi2^-1(F)| on the Z-lattice.
 
     Raises ResolutionError when the incidence set carries fewer than
-    ``min_cells`` lattice cells; the two estimates are meaningless there.
+    ``min_cells`` lattice cells; the value is meaningless there.
     """
     if E.is_empty or F.is_empty:
         raise DegenerateError("pairing requires nonempty sets")
-    h = E.h
-    if abs(F.h - h) > 1e-15 * h:
-        raise ConfigError("E and F must share the lattice edge h")
-    d = E.dim
-    t_cells = _compatible_t_cells(E, F, h, t_window)
-    shifts = _shifts(model, h, t_cells)
-    e_keys = E.keys()
-    f_keys = F.keys()
-    quad_hits = 0
-    lattice_hits = 0
-    for tc, s in zip(t_cells, shifts):
-        # quadrature: y-side lookup of E at y - gamma(t)
-        probe = F.cells + s[None, :]
-        quad_hits += int(np.isin(encode_cells(probe), e_keys, assume_unique=False).sum())
-        # lattice: x-side lookup of F at x + gamma(t)
-        probe = E.cells - s[None, :]
-        lattice_hits += int(np.isin(encode_cells(probe), f_keys, assume_unique=False).sum())
-    if lattice_hits < min_cells:
+    rows, _ = _incidence(model, E, F, t_window)
+    if rows.size < min_cells:
         raise ResolutionError(
-            f"incidence set has {lattice_hits} cells (< {min_cells}); refine h or enlarge the sets"
+            f"incidence set has {rows.size} cells (< {min_cells}); refine h or enlarge the sets"
         )
-    quad = quad_hits * h * h ** d
-    lattice = lattice_hits * h ** (d + 1)
-    if quad > 0 and lattice > 0:
-        ratio = quad / lattice
-        c_pair = max(ratio, 1.0 / ratio)
-    else:
-        c_pair = math.inf
-    return PairingResult(quadrature=quad, lattice=lattice, c_pair=c_pair)
+    value = rows.size * E.h ** (E.dim + 1)
+    return PairingResult(quadrature=value, lattice=value)
 
 
 def incidence_set(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window=(-1.0, 1.0)) -> LatticeSet:
     """Omega = pi1^-1(E) cap pi2^-1(F) as cells (x, t) on the Z-lattice."""
     if E.is_empty or F.is_empty:
         raise DegenerateError("incidence_set requires nonempty sets")
-    h = E.h
-    d = E.dim
-    t_cells = _compatible_t_cells(E, F, h, t_window)
-    shifts = _shifts(model, h, t_cells)
-    f_keys = F.keys()
-    blocks = []
-    for tc, s in zip(t_cells, shifts):
-        probe = E.cells - s[None, :]
-        hit = np.isin(encode_cells(probe), f_keys, assume_unique=False)
-        if hit.any():
-            cells = np.empty((int(hit.sum()), d + 1), dtype=np.int64)
-            cells[:, :d] = E.cells[hit]
-            cells[:, d] = tc
-            blocks.append(cells)
-    if not blocks:
-        return LatticeSet.empty(h, d + 1)
-    return LatticeSet(h, np.concatenate(blocks, axis=0))
+    rows, t = _incidence(model, E, F, t_window)
+    return LatticeSet(E.h, np.column_stack([E.cells[rows], t]))
 
 
 def rwt_ratio(model: ModelFamily, E: LatticeSet, F: LatticeSet, p, q, r, t_window=(-1.0, 1.0)) -> float:
@@ -245,18 +225,13 @@ def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float, t_window=(-1.
             fibers_t=[],
             fiber_measures=np.empty(0),
         )
-    x_cells = idx - nh
-    E = LatticeSet(h, x_cells)
+    E = LatticeSet(h, idx - nh)
     x_cells = E.cells  # canonical order
-    t_cells = t_node_range(h, t_window)
-    shifts = _shifts(model, h, t_cells)
-    f_keys = F.keys()
-    hits = np.zeros((x_cells.shape[0], t_cells.shape[0]), dtype=bool)
-    for col, (tc, s) in enumerate(zip(t_cells, shifts)):
-        probe = x_cells - s[None, :]
-        hits[:, col] = np.isin(encode_cells(probe), f_keys, assume_unique=False)
-    fibers = [t_cells[row] for row in hits]
-    measures = hits.sum(axis=1) * h
+    rows, t = _incidence(model, E, F, t_window)
+    order = np.argsort(rows, kind="stable")  # t-cells stay ascending per row
+    counts = np.bincount(rows, minlength=x_cells.shape[0])
+    fibers = np.split(t[order], np.cumsum(counts)[:-1])
+    measures = counts * h
     # exact consistency with the dense transform
     dense_vals = vals[tuple((x_cells + nh).T)]
     if not np.allclose(dense_vals, measures, rtol=0, atol=1e-12):
@@ -318,23 +293,11 @@ def necessity_union(
                 f"domain overflow: {want} translates at spacing {spacing} cells do not fit"
             )
         count = min(want, fit)
-        z_blocks, p1_blocks, p2_blocks, cols = [], [], [], []
-        for k in range(count):
-            shift = k * spacing
-            zc = ball.cells.cells.copy()
-            zc[:, 0] += shift
-            z_blocks.append(zc)
-            b1 = ball.proj1.cells.copy()
-            b1[:, 0] += shift
-            p1_blocks.append(b1)
-            b2 = ball.proj2.cells.copy()
-            b2[:, 0] += shift
-            p2_blocks.append(b2)
-            cols.append(ball.pi_cols + shift)
-        union_z = LatticeSet(h, np.concatenate(z_blocks, axis=0))
-        union_p1 = LatticeSet(h, np.concatenate(p1_blocks, axis=0))
-        union_p2 = LatticeSet(h, np.concatenate(p2_blocks, axis=0))
-        all_cols = np.concatenate(cols)
+        copies = [ball.translate_x1(k * spacing) for k in range(count)]
+        union_z = LatticeSet(h, np.concatenate([c.cells.cells for c in copies]))
+        union_p1 = LatticeSet(h, np.concatenate([c.proj1.cells for c in copies]))
+        union_p2 = LatticeSet(h, np.concatenate([c.proj2.cells for c in copies]))
+        all_cols = np.concatenate([c.pi_cols for c in copies])
         disjoint = np.unique(all_cols).size == all_cols.size
         if union_z.n_cells != count * ball.cells.n_cells:
             disjoint = False

@@ -347,7 +347,7 @@ def test_criterion_11_decomposition():
 
 
 def test_criterion_12_duality_and_pairing():
-    with criterion(12, "duality to 1e-10; quadrature-vs-lattice pairing within 10%"):
+    with criterion(12, "duality to 1e-10; lattice pairing within 10% of the continuum box integral"):
         h = 2.0 ** -7
         rng = np.random.default_rng(12)
         f = make_grid(2, h)
@@ -367,7 +367,9 @@ def test_criterion_12_duality_and_pairing():
                 pr = pairing(PARABOLA, E, Fset)
             except ResolutionError:
                 continue  # sets too far apart to incide; redraw
-            assert 0.9 <= pr.quadrature / pr.lattice <= 1.1
+            ratio = pr.lattice / conftest.continuum_pairing(E, Fset, lambda t: (t, t * t))
+            lo, hi = calibration.PAIRING_BAND
+            assert lo <= ratio <= hi, f"lattice / continuum pairing {ratio:.4f} outside {calibration.PAIRING_BAND}"
             done += 1
 
 

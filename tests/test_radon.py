@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import conftest
+
+from ccradon.calibration import PAIRING_BAND
 from ccradon.ccball import reach_ball
 from ccradon.errors import ConfigError, DegenerateError, ResolutionError
 from ccradon.lattice import LatticeSet
@@ -19,6 +22,7 @@ from ccradon.radon import (
 )
 
 H = 2.0 ** -7
+GAMMAS = {"parabola": lambda t: (t, t * t), "cubic": lambda t: (t, t * t, t * t * t)}
 
 
 def random_box(rng, h=H, min_side=0.25):
@@ -94,9 +98,11 @@ class TestPairing:
         F = LatticeSet.from_box([-0.95, -0.95], [0.95, 0.95], H)
         pr = pairing(parabola, E, F, t_window=(-0.25, 0.25))
         assert pr.lattice == pytest.approx(E.measure * 0.5, rel=0.1)
-        assert pr.quadrature == pytest.approx(pr.lattice, rel=0.05)
+        ref = conftest.continuum_pairing(E, F, GAMMAS["parabola"], t_window=(-0.25, 0.25))
+        assert pr.lattice == pytest.approx(ref, rel=0.05)
 
     def test_quad_vs_lattice_on_random_slabs(self, parabola, rng):
+        # the lattice pairing against the continuum integral over the boxes
         done = 0
         while done < 20:
             E = random_box(rng)
@@ -105,7 +111,8 @@ class TestPairing:
                 pr = pairing(parabola, E, F)
             except ResolutionError:
                 continue  # sets too far apart to incide; redraw
-            assert 0.9 <= pr.quadrature / pr.lattice <= 1.1
+            ratio = pr.lattice / conftest.continuum_pairing(E, F, GAMMAS["parabola"])
+            assert PAIRING_BAND[0] <= ratio <= PAIRING_BAND[1]
             done += 1
 
     def test_ball_pair_contains_ball(self, parabola):
@@ -115,6 +122,16 @@ class TestPairing:
         assert pr.lattice >= ball.volume - 1e-12
         omega = incidence_set(parabola, ball.proj1, ball.proj2)
         assert ball.cells.issubset(omega)
+
+    def test_mismatched_sets_raise_config(self, parabola, cubic):
+        E = LatticeSet.from_box([0, 0], [0.25, 0.25], H)
+        F = LatticeSet.from_box([0, 0], [0.25, 0.25], H / 2)
+        with pytest.raises(ConfigError):
+            incidence_set(parabola, E, F)
+        with pytest.raises(ConfigError):
+            pairing(cubic, E, E)
+        with pytest.raises(ConfigError):
+            apply_T(cubic, make_grid(2, H))
 
     def test_empty_error(self, parabola):
         E = LatticeSet.from_box([0, 0], [0.25, 0.25], H)
@@ -135,6 +152,42 @@ class TestPairing:
         p2 = pairing(parabola, E2, F)
         assert 0 <= p1.quadrature <= p2.quadrature
         assert p1.lattice <= p2.lattice
+
+
+def brute_incidence(gamma, F, h, nh):
+    """{x: t-cells} by pure-Python loops over y in F and nodes j: x is the cell
+    (index i covers [i h - h/2, i h + h/2)) of the point y h - gamma(j h), kept
+    when every |x_i| <= nh.  Nodes j are the centres j h in [-1, 1)."""
+    fibers = {}
+    for y in F.cells.tolist():
+        for j in range(math.ceil(-1 / h), math.ceil(1 / h)):
+            x = tuple(math.floor((yi * h - gi) / h + 0.5) for yi, gi in zip(y, gamma(j * h)))
+            if max(abs(xi) for xi in x) <= nh:
+                fibers.setdefault(x, []).append(j)
+    return {x: sorted(js) for x, js in fibers.items()}
+
+
+@pytest.mark.parametrize("name", ["parabola", "cubic"])
+def test_brute_force_incidence_oracle(models, name):
+    model = models[name]
+    d, h = model.d, 2.0 ** -4
+    nh = math.ceil(1 / h)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        E = LatticeSet(h, rng.integers(-4, 5, size=(60, d)))
+        F = LatticeSet(h, rng.integers(-4, 5, size=(60, d)))
+        fibers = brute_incidence(GAMMAS[name], F, h, nh)
+        omega = {x + (j,) for x in map(tuple, E.cells.tolist()) for j in fibers.get(x, [])}
+        assert len(omega) >= 10
+        assert pairing(model, E, F).lattice / h ** (d + 1) == len(omega)
+        assert set(map(tuple, incidence_set(model, E, F).cells.tolist())) == omega
+        for k in range(6):  # layers (2^(k-1) h, 2^k h] hold every nonempty fiber
+            beta = h * 2.0 ** (k - 1)
+            sl = superlevel_set(model, F, beta)
+            want = {x: js for x, js in fibers.items() if beta < len(js) * h <= 2 * beta}
+            got = {tuple(x): f.tolist() for x, f in zip(sl.x_cells.tolist(), sl.fibers_t)}
+            assert got == want
+            assert sl.fiber_measures.tolist() == [len(want[tuple(x)]) * h for x in sl.x_cells.tolist()]
 
 
 class TestRwt:
