@@ -17,7 +17,7 @@ import numpy as np
 from .ccball import pi2_cells, reach_ball
 from .errors import ConfigError, DegenerateError
 from .geometry import ModelFamily
-from .lattice import LatticeSet
+from .lattice import LatticeSet, encode_cells
 
 
 def _dyadic_level(h: float) -> int:
@@ -125,36 +125,42 @@ class DyadicInterval:
         return self.index * b, (self.index + 1) * b
 
 
-def minimal_dyadic(cells: np.ndarray, h: float, eta: float, c_eta: float) -> DyadicInterval:
-    """Shortest dyadic interval with |I cap S| >= c_eta |I|^eta |S|, leftmost
-    among ties.  Raises ConfigError when not even a unit root qualifies."""
+def _minimal_intervals(rows: np.ndarray, u: np.ndarray, n_rows: int, h: float, eta: float, c_eta: float):
+    """Minimal dyadic interval of each row of the flat cells (rows, u), sorted by
+    row and then by u, each pair once, as (level, index, cells in it) arrays.
+    Each level, finest first, merges the runs of equal (row, block); the first
+    qualifying run of a row not yet assigned wins."""
     if not (0 < eta < 1 and c_eta > 0):
         raise ConfigError("minimal_dyadic requires eta in (0,1), c_eta > 0")
     level = _dyadic_level(h)
-    line = _as_bool_line(cells, level)
-    total = line.sum() * h
-    if total == 0:
+    if u.size and (u.min() < -(1 << level) or u.max() >= 1 << level):
+        raise ConfigError("1-D set exceeds [-1, 1]")
+    total = np.bincount(rows, minlength=n_rows) * h
+    if not total.all():
         raise DegenerateError("minimal_dyadic requires |S| > 0")
-    # precondition: a unit root interval must qualify, otherwise c_eta is too
-    # large for the minimality argument to make sense
-    roots = line.reshape(2, -1).sum(axis=1) * h
-    if not (roots >= c_eta * total - 1e-12).any():
-        raise ConfigError("no dyadic interval qualifies at unit level; c_eta too large")
+    levels, index, count = np.full((3, n_rows), -1, dtype=np.int64)
+    r, block, cnt = rows, u + (1 << level), np.ones(u.size, dtype=np.int64)
     for lev in range(level, -1, -1):
-        b = 1 << (level - lev)
-        sums = line.reshape(-1, b).sum(axis=1) * h
-        thr = c_eta * (2.0 ** -lev) ** eta * total
-        qual = sums >= thr - 1e-12
-        if qual.any():
-            j = int(np.argmax(qual))
-            return DyadicInterval(level=lev, index=j - (1 << lev))
-    raise ConfigError("no dyadic interval qualifies; inconsistent parameters")
+        start = np.flatnonzero(np.concatenate([[True], (r[1:] != r[:-1]) | (block[1:] != block[:-1])]))
+        r, block, cnt = r[start], block[start], np.add.reduceat(cnt, start)
+        qual = cnt * h >= c_eta * (2.0 ** -lev) ** eta * total[r] - 1e-12
+        # a unit root interval must qualify, otherwise c_eta is too large for
+        # the minimality argument to make sense
+        if lev == 0 and np.unique(r[qual]).size < n_rows:
+            raise ConfigError("no dyadic interval qualifies at unit level; c_eta too large")
+        fresh = np.flatnonzero(qual & (levels[r] < 0))
+        won, first = np.unique(r[fresh], return_index=True)
+        levels[won], index[won], count[won] = lev, block[fresh[first]] - (1 << lev), cnt[fresh[first]]
+        block = block >> 1
+    return levels, index, count
 
 
-def interval_mass(cells: np.ndarray, h: float, interval: DyadicInterval) -> float:
-    lo, hi = interval.cell_range(h)
-    cells = np.asarray(cells, dtype=np.int64).ravel()
-    return int(((cells >= lo) & (cells < hi)).sum()) * h
+def minimal_dyadic(cells: np.ndarray, h: float, eta: float, c_eta: float) -> DyadicInterval:
+    """Shortest dyadic interval with |I cap S| >= c_eta |I|^eta |S|, leftmost
+    among ties.  Raises ConfigError when not even a unit root qualifies."""
+    u = np.unique(np.asarray(cells, dtype=np.int64).ravel())
+    levels, index, _ = _minimal_intervals(np.zeros(u.size, dtype=np.int64), u, 1, h, eta, c_eta)
+    return DyadicInterval(level=int(levels[0]), index=int(index[0]))
 
 
 def localization_check(cells: np.ndarray, h: float, interval: DyadicInterval, eta: float, slack_cells: int = 1) -> bool:
@@ -180,13 +186,15 @@ def localization_check(cells: np.ndarray, h: float, interval: DyadicInterval, et
 
 @dataclass
 class PiFibers:
-    """Per-x fibers of a superlevel set, shifted to the Pi coordinate u = x1 + t."""
+    """Fibers of a superlevel set, shifted to the Pi coordinate u = x1 + t, as
+    flat (row, u-cell) pairs sorted by row and then by u-cell."""
 
     h: float
     d: int
     beta: float
     x_cells: np.ndarray
-    fibers_u: list
+    rows: np.ndarray      # index into x_cells of each fiber cell
+    u_cells: np.ndarray   # u-cell of each fiber cell
     measures: np.ndarray
 
     @property
@@ -199,16 +207,14 @@ class PiFibers:
 
 def to_pi_fibers(superlevel) -> PiFibers:
     """Exact integer shift t-cell -> u-cell = x1-cell + t-cell."""
-    fibers_u = [
-        fiber + int(x[0])
-        for fiber, x in zip(superlevel.fibers_t, superlevel.x_cells)
-    ]
+    x_cells = superlevel.E.cells
     return PiFibers(
         h=superlevel.h,
-        d=superlevel.x_cells.shape[1] if superlevel.x_cells.size else superlevel.E.dim,
+        d=superlevel.E.dim,
         beta=superlevel.beta,
-        x_cells=superlevel.x_cells,
-        fibers_u=fibers_u,
+        x_cells=x_cells,
+        rows=superlevel.rows,
+        u_cells=superlevel.t_cells + x_cells[superlevel.rows, 0],
         measures=superlevel.fiber_measures,
     )
 
@@ -226,7 +232,7 @@ class Stratum:
 class StratifyResult:
     strata: list
     selected: Stratum
-    intervals: list  # DyadicInterval per x (aligned with fibers)
+    intervals: np.ndarray  # (level, index) of the minimal dyadic interval I(x), per x
     beta: float
     eta: float
     c_eta: float
@@ -241,22 +247,19 @@ def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
     """
     if fibs.n == 0:
         return StratifyResult(
-            strata=[], selected=None, intervals=[], beta=fibs.beta,
+            strata=[], selected=None, intervals=np.empty((0, 2), dtype=np.int64), beta=fibs.beta,
             eta=eta, c_eta=c_eta, verdicts={"empty": True},
         )
     beta = fibs.beta
-    intervals = []
-    ms = np.empty(fibs.n, dtype=np.int64)
-    ks = np.empty(fibs.n, dtype=np.int64)
-    for i in range(fibs.n):
-        interval = minimal_dyadic(fibs.fibers_u[i], fibs.h, eta, c_eta)
-        intervals.append(interval)
-        mass = interval_mass(fibs.fibers_u[i], fibs.h, interval)
-        ms[i] = math.floor(math.log2(interval.length / beta))
-        ks[i] = math.floor(math.log2(mass))
+    levels, index, in_interval = _minimal_intervals(fibs.rows, fibs.u_cells, fibs.n, fibs.h, eta, c_eta)
+    # floor(log2) in scalar math on the few distinct lengths and masses
+    m_of_level = np.array([math.floor(math.log2(2.0 ** -lev / beta)) for lev in range(levels.max() + 1)])
+    ms = m_of_level[levels]
+    masses, at = np.unique(in_interval, return_inverse=True)
+    ks = np.array([math.floor(math.log2(int(c) * fibs.h)) for c in masses])[at]
     strata = []
     cell_w = fibs.h ** fibs.d
-    for m, k in sorted({(int(a), int(b)) for a, b in zip(ms, ks)}):
+    for m, k in np.unique(np.column_stack([ms, ks]), axis=0).tolist():
         indices = np.flatnonzero((ms == m) & (ks == k))
         pairing = float(fibs.measures[indices].sum()) * cell_w
         strata.append(Stratum(m=m, k=k, indices=indices, pairing=pairing))
@@ -280,7 +283,7 @@ def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
     return StratifyResult(
         strata=strata,
         selected=best,
-        intervals=intervals,
+        intervals=np.column_stack([levels, index]),
         beta=beta,
         eta=eta,
         c_eta=c_eta,
@@ -293,16 +296,12 @@ class PartitionFamily:
     """Uniform intervals I_n of length C 2^m beta with E_n, F_n, Omega^n stats."""
 
     interval_length: float
-    m: int
-    beta: float
-    C: float
     n_values: list
     e_counts: dict
     f_counts: dict
     omega_measure: dict
     alpha1: dict
     alpha2: dict
-    alpha: dict
     verdicts: dict = field(default_factory=dict)
 
 
@@ -327,47 +326,42 @@ def partition(
     if L <= h:
         raise ConfigError("interval length below lattice resolution; m, beta inconsistent")
     x_idx = sel.indices
-    intervals = [strat.intervals[i] for i in x_idx]
+    levels, index = strat.intervals[x_idx].T
+    length = np.ldexp(1.0, -levels)
+    lo = index * length
+    n_lo = np.floor(lo / L).astype(np.int64)
+    n_hi = np.floor((lo + length - 1e-15) / L).astype(np.int64)
 
-    e_members = {}
-    for local, (i, interval) in enumerate(zip(x_idx, intervals)):
-        n_lo = math.floor(interval.lo / L)
-        n_hi = math.floor((interval.hi - 1e-15) / L)
-        for n in range(n_lo, n_hi + 1):
-            e_members.setdefault(n, []).append(i)
+    # every fiber cell as a Z-cell (x, t), with its pi2 key
+    rows, u_h = fibs.rows, fibs.u_cells * h
+    zc = np.column_stack([fibs.x_cells[rows], fibs.u_cells - fibs.x_cells[rows, 0]])
+    y_keys = encode_cells(pi2_cells(model, zc, h))
 
     f_cols = F.cells[:, 0]
-    n_values = sorted(e_members.keys())
-    f_counts, omega, alpha1, alpha2, alpha = {}, {}, {}, {}, {}
-    e_counts = {n: len(v) for n, v in e_members.items()}
+    e_counts, f_counts, omega, alpha1, alpha2 = {}, {}, {}, {}, {}
     f_cover = np.zeros(F.n_cells, dtype=np.int64)
     pair_sum = 0.0
     omega_lower_ok = True
     omega_upper_ok = True
     c_lower = 0.0
     c_upper = 0.0
-    for n in n_values:
+    for n in range(int(n_lo.min()), int(n_hi.max()) + 1):
+        # E_n = {x : I(x) meets I_n}
+        members = x_idx[(n_lo <= n) & (n <= n_hi)]
+        if not members.size:
+            continue
+        e_counts[n] = members.size
         w_lo, w_hi = (n - 1) * L, (n + 2) * L
         col_mask = (f_cols * h >= w_lo - 1e-15) & (f_cols * h < w_hi - 1e-15)
         f_counts[n] = int(col_mask.sum())
         f_cover += col_mask.astype(np.int64)
-        members = e_members[n]
-        z_blocks = []
-        om_cells = 0
-        for i in members:
-            u = fibs.fibers_u[i]
-            inside = (u * h >= w_lo - 1e-15) & (u * h < w_hi - 1e-15)
-            cnt = int(inside.sum())
-            om_cells += cnt
-            if cnt:
-                zc = np.empty((cnt, d + 1), dtype=np.int64)
-                zc[:, :d] = fibs.x_cells[i]
-                zc[:, d] = u[inside] - fibs.x_cells[i][0]
-                z_blocks.append(zc)
-        om_measure = om_cells * h ** (d + 1)
+        is_member = np.zeros(fibs.n, dtype=bool)
+        is_member[members] = True
+        cells = np.flatnonzero(is_member[rows] & (u_h >= w_lo - 1e-15) & (u_h < w_hi - 1e-15))
+        om_measure = cells.size * h ** (d + 1)
         omega[n] = om_measure
         pair_sum += om_measure
-        e_measure = len(members) * h ** d
+        e_measure = members.size * h ** d
         lower = 2.0 ** sel.k * e_measure
         upper = beta * e_measure
         if om_measure + 1e-15 < lower:
@@ -376,15 +370,13 @@ def partition(
         c_upper = max(c_upper, om_measure / upper if upper > 0 else math.inf)
         if om_measure > 2.0 * upper + 1e-15:
             omega_upper_ok = False
-        if z_blocks:
-            zc = np.concatenate(z_blocks, axis=0)
-            p1 = len(np.unique(zc[:, :d], axis=0)) * h ** d
-            p2 = len(np.unique(pi2_cells(model, zc, h), axis=0)) * h ** d
+        if cells.size:
+            p1 = np.unique(rows[cells]).size * h ** d
+            p2 = np.unique(y_keys[cells]).size * h ** d
             alpha1[n] = om_measure / p1
             alpha2[n] = om_measure / p2
-            alpha[n] = min(alpha1[n], alpha2[n])
         else:
-            alpha1[n] = alpha2[n] = alpha[n] = 0.0
+            alpha1[n] = alpha2[n] = 0.0
 
     total_pair = float(fibs.measures[x_idx].sum()) * h ** d
     sum_e = sum(e_counts.values())
@@ -400,16 +392,12 @@ def partition(
     }
     return PartitionFamily(
         interval_length=L,
-        m=sel.m,
-        beta=beta,
-        C=C,
-        n_values=n_values,
+        n_values=list(e_counts),
         e_counts=e_counts,
         f_counts=f_counts,
         omega_measure=omega,
         alpha1=alpha1,
         alpha2=alpha2,
-        alpha=alpha,
         verdicts=verdicts,
     )
 
@@ -423,19 +411,28 @@ def widthbound_check(
 ) -> tuple:
     """Spot check |J cap F(x)| <= C |J|^eta (2^m beta)^-eta 2^k on random
     dyadic J and selected-stratum x.  Returns (ok, worst_ratio)."""
+    if strat.selected is None:
+        raise DegenerateError("widthbound_check requires a nonempty stratification")
     sel = strat.selected
     level = _dyadic_level(fibs.h)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
+    draws = np.zeros((n_samples, 3), dtype=np.int64)
+    for s in range(n_samples):  # one draw at a time keeps the seeded stream
         i = int(rng.choice(sel.indices))
         lev = int(rng.integers(0, level + 1))
-        j = int(rng.integers(-(1 << lev), 1 << lev))
-        J = DyadicInterval(level=lev, index=j)
-        mass = interval_mass(fibs.fibers_u[i], fibs.h, J)
-        bound = c_wb * J.length ** strat.eta * (2.0 ** sel.m * strat.beta) ** -strat.eta * 2.0 ** sel.k
-        if bound > 0:
-            worst = max(worst, mass / bound)
+        draws[s] = i, lev, rng.integers(-(1 << lev), 1 << lev)
+    i, lev, j = draws.T
+    # |J cap F(x)| by searchsorted on the sorted keys row * 2^(level+1) + u + 2^level,
+    # one key range per row since stratify checked u in [-2^level, 2^level)
+    width, b = 2 << level, 1 << (level - lev)
+    keys = fibs.rows * width + fibs.u_cells + (1 << level)
+    lo = i * width + j * b + (1 << level)
+    mass = (np.searchsorted(keys, lo + b) - np.searchsorted(keys, lo)) * fibs.h
+    bound = np.array([
+        c_wb * (2.0 ** -lj) ** strat.eta * (2.0 ** sel.m * strat.beta) ** -strat.eta * 2.0 ** sel.k
+        for lj in range(level + 1)
+    ])[lev]
+    worst = float(np.max(mass[bound > 0] / bound[bound > 0], initial=0.0))
     return worst <= 1.0 + 1e-9, worst
 
 
@@ -450,20 +447,23 @@ def delta1_lower_bound_check(
     """Fiber-width mechanism: a subset of Omega^n carrying a lambda-fraction of
     its measure, with x-fibers inside intervals of width w, forces
     w >= (lambda / C)^(1/eta) * 2^m beta."""
+    if n not in part.omega_measure:
+        raise ConfigError(f"n = {n} is not an interval of the partition (n_values {part.n_values})")
     h = fibs.h
     L = part.interval_length
     w_lo, w_hi = (n - 1) * L, (n + 2) * L
-    sub_measure = 0.0
-    w_measured = 0.0
-    for i in subset_indices:
-        u = fibs.fibers_u[i]
-        inside = u[(u * h >= w_lo - 1e-15) & (u * h < w_hi - 1e-15)]
-        if inside.size == 0:
-            continue
-        sub_measure += inside.size * h ** (fibs.d + 1)
-        w_measured = max(w_measured, (inside.max() - inside.min() + 1) * h)
+    in_subset = np.zeros(fibs.n, dtype=bool)
+    in_subset[np.asarray(subset_indices, dtype=np.int64)] = True
+    u_h = fibs.u_cells * h
+    inside = in_subset[fibs.rows] & (u_h >= w_lo - 1e-15) & (u_h < w_hi - 1e-15)
     omega_n = part.omega_measure[n]
-    lam = sub_measure / omega_n if omega_n > 0 else 0.0
+    if not inside.any() or omega_n == 0:
+        raise DegenerateError(f"the subset carries no cells of Omega^n for n = {n}")
+    rows, u = fibs.rows[inside], fibs.u_cells[inside]
+    first = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+    sub_measure = rows.size * h ** (fibs.d + 1)
+    w_measured = int((np.maximum.reduceat(u, first) - u[first]).max() + 1) * h
+    lam = sub_measure / omega_n
     w_bound = (lam / c_wb) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * strat.beta
     return {
         "lambda": lam,

@@ -184,13 +184,14 @@ def rwt_ratio(model: ModelFamily, E: LatticeSet, F: LatticeSet, p, q, r, t_windo
 
 @dataclass
 class SuperlevelSet:
-    """The layer E = {beta < T* chi_F <= 2 beta} with per-x fiber t-cells."""
+    """The layer E = {beta < T* chi_F <= 2 beta} with its fibers as flat
+    (row, t-cell) pairs, sorted by row and then by t-cell."""
 
     E: LatticeSet
     beta: float
     h: float
-    x_cells: np.ndarray          # (n, d)
-    fibers_t: list               # aligned list of int64 arrays of t-cells
+    rows: np.ndarray             # index into E.cells of each fiber cell
+    t_cells: np.ndarray          # t-cell of each fiber cell
     fiber_measures: np.ndarray   # |F(x)| = count * h
 
     @property
@@ -221,22 +222,19 @@ def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float, t_window=(-1.
             E=LatticeSet.empty(h, d),
             beta=beta,
             h=h,
-            x_cells=np.empty((0, d), dtype=np.int64),
-            fibers_t=[],
+            rows=np.empty(0, dtype=np.intp),
+            t_cells=np.empty(0, dtype=np.int64),
             fiber_measures=np.empty(0),
         )
     E = LatticeSet(h, idx - nh)
-    x_cells = E.cells  # canonical order
     rows, t = _incidence(model, E, F, t_window)
     order = np.argsort(rows, kind="stable")  # t-cells stay ascending per row
-    counts = np.bincount(rows, minlength=x_cells.shape[0])
-    fibers = np.split(t[order], np.cumsum(counts)[:-1])
-    measures = counts * h
+    measures = np.bincount(rows, minlength=E.n_cells) * h
     # exact consistency with the dense transform
-    dense_vals = vals[tuple((x_cells + nh).T)]
+    dense_vals = vals[tuple((E.cells + nh).T)]
     if not np.allclose(dense_vals, measures, rtol=0, atol=1e-12):
         raise ConfigError("fiber measures disagree with the dense adjoint")
-    return SuperlevelSet(E=E, beta=beta, h=h, x_cells=x_cells, fibers_t=fibers, fiber_measures=measures)
+    return SuperlevelSet(E=E, beta=beta, h=h, rows=rows[order], t_cells=t[order], fiber_measures=measures)
 
 
 @dataclass

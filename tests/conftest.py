@@ -61,3 +61,25 @@ def continuum_pairing(E, F, gamma, t_window=(-1.0, 1.0), n=20_000):
     for i, g in enumerate(gamma(t)):
         prod *= np.clip(np.minimum(b[i], e[i] - g) - np.maximum(a[i], c[i] - g), 0.0, None)
     return float(prod.sum() * dt)
+
+
+def exhaustive_minimal_dyadic(cells, h, eta, c_eta):
+    """Independent oracle: enumerate every dyadic interval, test the mass
+    condition directly, take the minimal length, leftmost."""
+    level = round(math.log2(1.0 / h))
+    cells = set(int(c) for c in np.asarray(cells).ravel())
+    total = len(cells) * h
+    best = None
+    for lev in range(0, level + 1):
+        length = 2.0 ** -lev
+        for index in range(-(1 << lev), 1 << lev):
+            b = 1 << (level - lev)
+            lo_cell = index * b
+            mass = sum(1 for c in cells if lo_cell <= c < lo_cell + b) * h
+            if mass >= c_eta * length ** eta * total - 1e-12:
+                cand = (lev, index)
+                if best is None or cand[0] > best[0]:
+                    best = cand
+                elif cand[0] == best[0] and cand[1] < best[1]:
+                    best = cand
+    return best

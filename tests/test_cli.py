@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,31 @@ class TestDecomposeCommand:
         assert report["passed"] is True
         assert (out / "strata.csv").exists()
         assert (out / "partition.csv").exists()
+
+
+# sha256 of decompose_report.json for the slab scenario at h = 2^-k; k = 6 is
+# the scenario of the transform_decompose benchmark workload
+DECOMPOSE_REPORT_PINS = {
+    6: "a42b2afea41edd6dd26f951a0722ea7a896006498feb4720c04b7e9e4f3f2049",
+    7: "c66f713789d89245d9b5cc0a71b47d6b88b2f537e6ac9a2933a49c7599d26596",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DECOMPOSE_REPORT_PINS))
+def test_decompose_report_pinned(runner, tmp_path, k):
+    scen = write_scenario(
+        tmp_path,
+        {
+            "kind": "decompose",
+            "model": "parabola",
+            "parameters": {"h": 2.0 ** -k, "beta": 0.05, "F": {"rects": [[[0.2, 0.26], [-0.9, 0.9]]]},
+                           "eta": 0.125, "c_eta": 0.25, "C": 8.0},
+        },
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decompose", "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256((out / "decompose_report.json").read_bytes()).hexdigest() == DECOMPOSE_REPORT_PINS[k]
 
 
 class TestNecessityCommand:

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import exhaustive_minimal_dyadic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccradon.ccball import reach_ball
+from ccradon.ccball import pi2_cells, reach_ball
 from ccradon.decomp import (
     CentralSetSpec,
+    DyadicInterval,
+    PiFibers,
     dense_ball_search,
     delta1_lower_bound_check,
     is_central,
@@ -20,28 +25,6 @@ from ccradon.decomp import (
 from ccradon.errors import ConfigError, DegenerateError
 from ccradon.lattice import LatticeSet
 from ccradon.radon import superlevel_set
-
-
-def exhaustive_minimal_dyadic(cells, h, eta, c_eta):
-    """Independent oracle: enumerate every dyadic interval, test the mass
-    condition directly, take the minimal length, leftmost."""
-    level = round(math.log2(1.0 / h))
-    cells = set(int(c) for c in np.asarray(cells).ravel())
-    total = len(cells) * h
-    best = None
-    for lev in range(0, level + 1):
-        length = 2.0 ** -lev
-        for index in range(-(1 << lev), 1 << lev):
-            b = 1 << (level - lev)
-            lo_cell = index * b
-            mass = sum(1 for c in cells if lo_cell <= c < lo_cell + b) * h
-            if mass >= c_eta * length ** eta * total - 1e-12:
-                cand = (lev, index)
-                if best is None or cand[0] > best[0]:
-                    best = cand
-                elif cand[0] == best[0] and cand[1] < best[1]:
-                    best = cand
-    return best
 
 
 class TestMinimalDyadic:
@@ -173,6 +156,21 @@ class TestStratifyPartition:
         res = delta1_lower_bound_check(fibs, strat, part, n, sel[: max(1, len(sel) // 2)])
         assert res["ok"]
 
+    def test_delta1_unknown_n_names_it(self, slab_setup):
+        model, F, fibs, strat = slab_setup
+        part = partition(model, fibs, strat, F, C=8.0)
+        bad = max(part.n_values) + 5
+        with pytest.raises(ConfigError, match=f"n = {bad} "):
+            delta1_lower_bound_check(fibs, strat, part, bad, strat.selected.indices)
+
+    def test_delta1_subset_without_cells_is_degenerate(self, slab_setup):
+        # an empty subset carries lambda = 0, which would pass vacuously
+        model, F, fibs, strat = slab_setup
+        part = partition(model, fibs, strat, F, C=8.0)
+        n = max(part.n_values, key=lambda n: part.omega_measure[n])
+        with pytest.raises(DegenerateError):
+            delta1_lower_bound_check(fibs, strat, part, n, [])
+
     def test_partition_requires_c(self, slab_setup):
         model, F, fibs, strat = slab_setup
         with pytest.raises(ConfigError):
@@ -198,14 +196,187 @@ class TestStratifyPartition:
 
 
 def test_stratify_empty_input_yields_empty_result():
-    from ccradon.decomp import PiFibers
-
     fibs = PiFibers(h=2.0 ** -7, d=2, beta=0.1,
-                    x_cells=np.empty((0, 2), dtype=np.int64), fibers_u=[],
-                    measures=np.empty(0))
+                    x_cells=np.empty((0, 2), dtype=np.int64), rows=np.empty(0, dtype=np.int64),
+                    u_cells=np.empty(0, dtype=np.int64), measures=np.empty(0))
     res = stratify(fibs, eta=0.125, c_eta=0.25)
     assert res.strata == [] and res.selected is None
     assert res.verdicts.get("empty")
+
+
+def test_widthbound_empty_stratification_is_degenerate():
+    fibs = flat_fibers([], 2.0 ** -7)
+    with pytest.raises(DegenerateError, match="nonempty stratification"):
+        widthbound_check(fibs, stratify(fibs, eta=0.125, c_eta=0.25))
+
+
+# --------------------------------------------------------------------------
+# stratify on many rows against the one-set oracle
+# --------------------------------------------------------------------------
+
+LEVEL = 6  # h = 2^-6: u-cells in [-64, 64)
+HALF = 1 << LEVEL
+
+
+def flat_fibers(rows, h, beta=0.05):
+    """PiFibers holding one u-cell set per row (distinct dummy x-cells)."""
+    counts = [len(cells) for cells in rows]
+    return PiFibers(
+        h=h, d=2, beta=beta,
+        x_cells=np.column_stack([np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64)]),
+        rows=np.repeat(np.arange(len(rows)), counts),
+        u_cells=np.array([c for cells in rows for c in sorted(cells)], dtype=np.int64),
+        measures=np.array(counts, dtype=np.int64) * h,
+    )
+
+
+@st.composite
+def fiber_row(draw):
+    kind = draw(st.sampled_from(["random", "single", "edge", "tie"]))
+    if kind == "single":
+        return {draw(st.integers(-HALF, HALF - 1))}
+    if kind == "tie":  # one pattern in both halves of a dyadic block
+        lev = draw(st.integers(1, LEVEL))
+        b = 1 << (LEVEL - lev)
+        start = draw(st.integers(-(1 << (lev - 1)), (1 << (lev - 1)) - 1)) * 2 * b
+        pattern = draw(st.sets(st.integers(0, b - 1), min_size=1, max_size=16))
+        return {start + c for c in pattern} | {start + b + c for c in pattern}
+    cells = draw(st.sets(st.integers(-HALF, HALF - 1), min_size=1, max_size=40))
+    if kind == "edge":  # touches u = -1 or the last cell below u = 1
+        cells.add(draw(st.sampled_from([-HALF, HALF - 1])))
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(fiber_row(), min_size=1, max_size=6),
+       eta=st.floats(0.1, 0.6), c_eta=st.floats(0.05, 0.3))
+def test_stratify_matches_oracle_per_row(rows, eta, c_eta):
+    h = 2.0 ** -LEVEL
+    fibs = flat_fibers(rows, h)
+    strat = stratify(fibs, eta=eta, c_eta=c_eta)
+    assert sorted(i for s in strat.strata for i in s.indices.tolist()) == list(range(len(rows)))
+    for r, cells in enumerate(rows):
+        lev, index = exhaustive_minimal_dyadic(sorted(cells), h, eta, c_eta)
+        assert strat.intervals[r].tolist() == [lev, index]
+        b = 1 << (LEVEL - lev)
+        mass = sum(1 for c in cells if index * b <= c < (index + 1) * b) * h
+        (stratum,) = [s for s in strat.strata if r in s.indices]
+        assert (stratum.m, stratum.k) == (math.floor(math.log2(2.0 ** -lev / fibs.beta)), math.floor(math.log2(mass)))
+
+
+@pytest.mark.parametrize("rows, eta, c_eta, match", [
+    ([{0, 1}, {HALF}], 0.125, 0.25, "exceeds"),
+    ([{-HALF - 1}, {0}], 0.125, 0.25, "exceeds"),
+    # the finest level qualifies for the single cell (4 h^0.5 <= 1) but no
+    # unit root can hold 4 |S|
+    ([{0, 5, 9}, {0}], 0.5, 4.0, "unit level"),
+    ([{0}], 1.0, 0.25, "eta"),
+])
+def test_stratify_rejects_bad_fibers(rows, eta, c_eta, match):
+    with pytest.raises(ConfigError, match=match):
+        stratify(flat_fibers(rows, 2.0 ** -LEVEL), eta=eta, c_eta=c_eta)
+
+
+# --------------------------------------------------------------------------
+# partition against the per-member reference
+# --------------------------------------------------------------------------
+
+def reference_partition(model, fibs, strat, F, C):
+    """Pure-Python partition, one member at a time: E_n from each I(x), and
+    the Omega^n cells, projections and verdicts window by window."""
+    sel, beta, h, d = strat.selected, strat.beta, fibs.h, fibs.d
+    fibers_u = np.split(fibs.u_cells, np.cumsum(np.bincount(fibs.rows, minlength=fibs.n))[:-1])
+    L = C * 2.0 ** sel.m * beta
+    e_members = {}
+    for i in sel.indices.tolist():
+        interval = DyadicInterval(*strat.intervals[i].tolist())
+        for n in range(math.floor(interval.lo / L), math.floor((interval.hi - 1e-15) / L) + 1):
+            e_members.setdefault(n, []).append(i)
+    f_cols = F.cells[:, 0]
+    f_counts, omega, alpha1, alpha2 = {}, {}, {}, {}
+    f_cover = np.zeros(F.n_cells, dtype=np.int64)
+    pair_sum, omega_lower_ok, omega_upper_ok, c_lower, c_upper = 0.0, True, True, 0.0, 0.0
+    for n in sorted(e_members):
+        w_lo, w_hi = (n - 1) * L, (n + 2) * L
+        col_mask = (f_cols * h >= w_lo - 1e-15) & (f_cols * h < w_hi - 1e-15)
+        f_counts[n] = int(col_mask.sum())
+        f_cover += col_mask.astype(np.int64)
+        z_blocks = []
+        for i in e_members[n]:
+            u = fibers_u[i]
+            inside = u[(u * h >= w_lo - 1e-15) & (u * h < w_hi - 1e-15)]
+            if inside.size:
+                zc = np.empty((inside.size, d + 1), dtype=np.int64)
+                zc[:, :d] = fibs.x_cells[i]
+                zc[:, d] = inside - fibs.x_cells[i][0]
+                z_blocks.append(zc)
+        om_cells = sum(len(z) for z in z_blocks)
+        omega[n] = om_measure = om_cells * h ** (d + 1)
+        pair_sum += om_measure
+        e_measure = len(e_members[n]) * h ** d
+        lower, upper = 2.0 ** sel.k * e_measure, beta * e_measure
+        omega_lower_ok &= not om_measure + 1e-15 < lower
+        omega_upper_ok &= not om_measure > 2.0 * upper + 1e-15
+        c_lower = max(c_lower, lower / om_measure if om_measure > 0 else math.inf)
+        c_upper = max(c_upper, om_measure / upper if upper > 0 else math.inf)
+        if z_blocks:
+            zc = np.concatenate(z_blocks, axis=0)
+            alpha1[n] = om_measure / (len(np.unique(zc[:, :d], axis=0)) * h ** d)
+            alpha2[n] = om_measure / (len(np.unique(pi2_cells(model, zc, h), axis=0)) * h ** d)
+        else:
+            alpha1[n] = alpha2[n] = 0.0
+    total_pair = float(fibs.measures[sel.indices].sum()) * h ** d
+    return {
+        "interval_length": L,
+        "n_values": sorted(e_members),
+        "e_counts": {n: len(v) for n, v in e_members.items()},
+        "f_counts": f_counts,
+        "omega_measure": omega,
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+        "verdicts": {
+            "localized_ok": pair_sum >= total_pair - 1e-12,
+            "e_overlap_ok": sum(len(v) for v in e_members.values()) <= 2 * len(sel.indices),
+            "f_cover_max": int(f_cover.max()) if f_cover.size else 0,
+            "f_cover_ok": bool(f_cover.max() <= 3) if f_cover.size else True,
+            "omega_lower_ok": omega_lower_ok,
+            "omega_upper_ok": omega_upper_ok,
+            "c_prime_lower": c_lower,
+            "c_prime_upper": c_upper,
+        },
+    }
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_partition_matches_reference_on_slab(parabola, k):
+    h = 2.0 ** -k
+    F = LatticeSet.from_box([0.2, -0.9], [0.26, 0.9], h)
+    fibs = to_pi_fibers(superlevel_set(parabola, F, beta=0.05))
+    strat = stratify(fibs, eta=0.125, c_eta=0.25)
+    assert vars(partition(parabola, fibs, strat, F, C=8.0)) == reference_partition(parabola, fibs, strat, F, 8.0)
+
+
+@pytest.mark.parametrize("name", ["parabola", "cubic"])
+def test_partition_matches_reference_on_random_sets(models, name):
+    model = models[name]
+    h = 2.0 ** -5 if model.d == 2 else 2.0 ** -4
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(3):
+        box = LatticeSet.from_box([-0.3] * model.d, [0.3] * model.d, h)
+        F = LatticeSet(h, box.cells[rng.random(box.n_cells) < 0.3])
+        for k in range(6):  # layers (2^(k-1) h, 2^k h]
+            sl = superlevel_set(model, F, h * 2.0 ** (k - 1))
+            if sl.is_empty:
+                continue
+            fibs = to_pi_fibers(sl)
+            strat = stratify(fibs, eta=float(rng.uniform(0.1, 0.6)), c_eta=float(rng.uniform(0.05, 0.3)))
+            C = float(rng.choice([4.0, 8.0]))
+            if C * 2.0 ** strat.selected.m * strat.beta <= h:
+                continue
+            assert vars(partition(model, fibs, strat, F, C=C)) == reference_partition(model, fibs, strat, F, C)
+            checked += 1
+    assert checked >= 6
 
 
 class TestOmegaStats:

@@ -185,9 +185,12 @@ def test_brute_force_incidence_oracle(models, name):
             beta = h * 2.0 ** (k - 1)
             sl = superlevel_set(model, F, beta)
             want = {x: js for x, js in fibers.items() if beta < len(js) * h <= 2 * beta}
-            got = {tuple(x): f.tolist() for x, f in zip(sl.x_cells.tolist(), sl.fibers_t)}
+            got = {}
+            for row, t in zip(sl.rows.tolist(), sl.t_cells.tolist()):
+                got.setdefault(tuple(sl.E.cells[row].tolist()), []).append(t)
             assert got == want
-            assert sl.fiber_measures.tolist() == [len(want[tuple(x)]) * h for x in sl.x_cells.tolist()]
+            assert sl.rows.tolist() == sorted(sl.rows.tolist())
+            assert sl.fiber_measures.tolist() == [len(want[tuple(x)]) * h for x in sl.E.cells.tolist()]
 
 
 class TestRwt:
