@@ -19,6 +19,7 @@ from .mixednorm import conjugate, mixed_norm_indicator
 
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
+ROUND_CHUNK = 8192  # active points a reach_ball round steps and keys together
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class BallEstimate:
     c_geom: float
     slab_values: np.ndarray  # measure of the ball in each column of pi_cols
     truncated: bool
+    # per-round diagnostics of the fixpoint, one entry per round run
+    active_per_round: np.ndarray  # representatives kept after the dedup
+    new_cells_per_round: np.ndarray  # cells added to the ball; their sum + 1 is n_cells
+    dropped_per_round: np.ndarray  # pool points outside the chart domain
 
     @property
     def proj1_measure(self) -> float:
@@ -97,6 +102,9 @@ class BallEstimate:
             c_geom=self.c_geom,
             slab_values=self.slab_values.copy(),
             truncated=self.truncated,
+            active_per_round=self.active_per_round,
+            new_cells_per_round=self.new_cells_per_round,
+            dropped_per_round=self.dropped_per_round,
         )
 
     def to_report(self) -> dict:
@@ -115,6 +123,15 @@ class BallEstimate:
             "pi_extent": self.pi_extent,
             "c_geom": self.c_geom,
             "truncated": self.truncated,
+        }
+
+    def diagnostics(self) -> dict:
+        """Per-round counts of the fixpoint, for the metadata sidecar."""
+        return {
+            "rounds_run": int(self.active_per_round.shape[0]),
+            "active_per_round": self.active_per_round.tolist(),
+            "new_cells_per_round": self.new_cells_per_round.tolist(),
+            "dropped_per_round": self.dropped_per_round.tolist(),
         }
 
 
@@ -147,7 +164,8 @@ def pi2_cells(model: ModelFamily, cells: np.ndarray, h: float) -> np.ndarray:
     return ycells
 
 
-def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys, truncated) -> BallEstimate:
+def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys, stats) -> BallEstimate:
+    """``stats`` holds (active, new cells, dropped) for each round run."""
     d = model.d
     cells = decode_keys(keys, d + 1)
     zset = LatticeSet(h, cells, _sorted=True)
@@ -174,8 +192,61 @@ def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys,
         pi_extent=pi_extent,
         c_geom=pi_extent / d1,
         slab_values=slab_values,
-        truncated=truncated,
+        truncated=bool(stats[:, 2].any()),
+        active_per_round=stats[:, 0],
+        new_cells_per_round=stats[:, 1],
+        dropped_per_round=stats[:, 2],
     )
+
+
+def _farthest_per_key(keys: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Index of one point per distinct key: the largest ``dist``, and on exact
+    ties the lowest index.  Indices come out in ascending key order.
+
+    This is the first-of-group rule of ``np.lexsort((-dist, keys))``, from one
+    stable key sort and a per-group max.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new_key = np.empty(order.shape[0], dtype=bool)
+    new_key[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
+    starts = np.flatnonzero(new_key)
+    sorted_dist = dist[order]
+    group_max = np.maximum.reduceat(sorted_dist, starts)
+    hits = np.flatnonzero(sorted_dist == np.repeat(group_max, np.diff(starts, append=order.shape[0])))
+    # every group holds a hit, so its first hit is the first one at or after its start
+    return order[hits[np.searchsorted(hits, starts)]]
+
+
+def _expand(model: ModelFamily, active: np.ndarray, a1, a2, tau: float, z0: np.ndarray, h_rep: float) -> tuple:
+    """One round's candidate pool: every active point stepped under every control.
+
+    Returns the pool as column storage (d+1, m n), control-major, with each
+    point's refined-cell key, squared distance to ``z0`` and chart mask.  The
+    work runs on chunks of ``ROUND_CHUNK`` active points so that temporaries
+    stay cache-sized; points outside the chart are keyed at ``z0``, and the
+    caller drops them.
+    """
+    dim, m, n = model.dim_z, a1.shape[0], active.shape[1]
+    pool = np.empty((dim, m, n))
+    keys = np.empty((m, n), dtype=np.int64)
+    dist = np.zeros((m, n))
+    inside = np.empty((m, n), dtype=bool)
+    for lo in range(0, n, ROUND_CHUNK):
+        cols = slice(lo, lo + ROUND_CHUNK)
+        block = rk4_many(model, active[:, cols], a1, a2, tau)
+        pool[:, :, cols] = block
+        ok = model.contains(block)
+        inside[:, cols] = ok
+        if not ok.all():
+            block = np.where(ok, block, z0[:, None, None])
+        keys[:, cols] = encode_cells(np.floor(block / h_rep + 0.5).astype(np.int64).reshape(dim, -1).T).reshape(m, -1)
+        # summed left to right, as np.sum over a row of coordinates does
+        for coord, c0 in zip(block, z0):
+            dx = coord - c0
+            dist[:, cols] += dx * dx
+    return pool.reshape(dim, -1), keys.ravel(), dist.ravel(), inside.ravel()
 
 
 def reach_ball(
@@ -193,6 +264,10 @@ def reach_ball(
     advancing fronts with slow interior points, so the dedup resolution tracks
     the per-round stride (clamped to [h/4, h/2]).  Cells leaving the chart are
     dropped and flagged, never clamped.
+
+    Each round steps every active point under the nine controls into one
+    column-storage pool, (d+1, 9n), control-major; pool order breaks
+    distance ties in the dedup (see ``_expand`` and ``_farthest_per_key``).
     """
     _check_radii(delta1, delta2, h)
     z0 = as_zarray(z0, model.dim_z)
@@ -204,35 +279,34 @@ def reach_ball(
         raise ConfigError("tau must lie in (0, 1]")
     rounds = math.ceil(1.0 / tau - 1e-12)
     tau = 1.0 / rounds
-    controls = [(a1, a2) for a1 in (-delta1, 0.0, delta1) for a2 in (-delta2, 0.0, delta2)]
+    a1 = np.repeat([-delta1, 0.0, delta1], 3)[:, None]
+    a2 = np.tile([-delta2, 0.0, delta2], 3)[:, None]
     stride = (delta1 + delta2) * tau
     h_rep = min(max(stride, h / 4.0), h / 2.0)
 
     visited = encode_cells(np.floor(z0 / h + 0.5).astype(np.int64)[None, :])
-    active = z0[None, :].copy()
-    truncated = False
+    active = z0[:, None].copy()
+    stats = []  # (active, new cells, dropped) per round
     for _ in range(rounds):
-        batches = [rk4_many(model, active, a1, a2, tau) for a1, a2 in controls]
-        pts = np.concatenate(batches, axis=0)
-        inside = model.contains(pts)
-        if not inside.all():
-            truncated = True
-            pts = pts[inside]
-        if pts.shape[0] == 0:
-            break
-        rep_keys = encode_cells(np.floor(pts / h_rep + 0.5).astype(np.int64))
+        pool, rep_keys, dist, inside = _expand(model, active, a1, a2, tau, z0, h_rep)
         # One representative per refined cell, preferring the point farthest
         # from the center: slow interior landings must not hijack the fronts.
-        dist = np.sum((pts - z0) ** 2, axis=1)
-        order = np.lexsort((-dist, rep_keys))
-        rep_sorted = rep_keys[order]
-        keep = np.empty(rep_sorted.shape[0], dtype=bool)
-        keep[0] = True
-        np.not_equal(rep_sorted[1:], rep_sorted[:-1], out=keep[1:])
-        active = pts[order[keep]]
-        keys = encode_cells(np.floor(active / h + 0.5).astype(np.int64))
+        if inside.all():
+            dropped, pick = 0, _farthest_per_key(rep_keys, dist)
+        else:
+            kept = np.flatnonzero(inside)
+            dropped = inside.shape[0] - kept.shape[0]
+            if kept.shape[0] == 0:
+                stats.append((0, 0, dropped))
+                break
+            pick = kept[_farthest_per_key(rep_keys[kept], dist[kept])]
+        active = pool[:, pick]
+        keys = encode_cells(np.floor(active / h + 0.5).astype(np.int64).T)
+        n_visited = visited.shape[0]
         visited = np.union1d(visited, keys)
-    return _ball_from_cells(model, model.name, z0, delta1, delta2, h, tau, rounds, visited, truncated)
+        stats.append((active.shape[1], visited.shape[0] - n_visited, dropped))
+    return _ball_from_cells(model, model.name, z0, delta1, delta2, h, tau, rounds, visited,
+                            np.array(stats, dtype=np.int64).reshape(-1, 3))
 
 
 @dataclass
@@ -255,12 +329,12 @@ def _integrate_paths(model: ModelFamily, z0: np.ndarray, controls: np.ndarray) -
     """
     n_paths, pieces, _ = controls.shape
     dt = 1.0 / pieces
-    pts = np.tile(z0, (n_paths, 1))
+    pts = np.tile(z0[:, None], (1, n_paths))
     alive = np.ones(n_paths, dtype=bool)
     for k in range(pieces):
-        pts = rk4_many(model, pts, controls[:, k, 0], controls[:, k, 1], dt)
+        pts = rk4_many(model, pts, controls[:, k, 0], controls[:, k, 1], dt)[:, 0]
         alive &= model.contains(pts)
-    return pts, alive
+    return pts.T, alive
 
 
 def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, seed: int = 0, h: float | None = None) -> McBall:

@@ -63,7 +63,8 @@ def _sanitize(obj):
     return obj
 
 
-def _write_report(out_dir: Path, name: str, report: dict):
+def _write_report(out_dir: Path, name: str, report: dict, diagnostics: dict | None = None):
+    """Write the report and its ``meta.json`` sidecar; run diagnostics go to the sidecar only."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
     (out_dir / name).write_text(payload)
@@ -72,6 +73,8 @@ def _write_report(out_dir: Path, name: str, report: dict):
         "package_version": __version__,
         "numpy_version": np.__version__,
     }
+    if diagnostics is not None:
+        meta["diagnostics"] = diagnostics
     (out_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
@@ -177,7 +180,7 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
         if not report["passed"]:
             report["failures"] = [f"mc_agreement={agreement:.4g} outside [{lo}, {hi}]"]
     _write_csv(out_dir, "slab_profile.csv", ["t", "f"], slab_profile(ball))
-    _write_report(out_dir, "ball_report.json", report)
+    _write_report(out_dir, "ball_report.json", report, diagnostics=ball.diagnostics())
     return report
 
 

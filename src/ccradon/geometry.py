@@ -138,9 +138,16 @@ class ModelFamily:
         return np.moveaxis(vals, 0, -1)
 
     def contains(self, pts) -> np.ndarray:
-        """Boolean mask of chart-domain membership; pts is (..., d+1)."""
+        """Boolean mask of chart-domain membership.
+
+        ``pts`` is column storage, (d+1, ...): one row per coordinate, so a
+        single point is a (d+1,) vector.
+        """
         pts = np.asarray(pts, dtype=float)
-        return np.all((pts >= self._dom_lo) & (pts <= self._dom_hi), axis=-1)
+        inside = (pts[0] >= self._dom_lo[0]) & (pts[0] <= self._dom_hi[0])
+        for axis in range(1, self.dim_z):
+            inside &= (pts[axis] >= self._dom_lo[axis]) & (pts[axis] <= self._dom_hi[axis])
+        return inside
 
     def pi2(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -225,23 +232,36 @@ def eval_fields(model: ModelFamily, z) -> tuple:
 
 
 def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarray:
-    """One classical RK4 step of phi' = a1 V1 + a2 V2; controls scalar or per point.
+    """One classical RK4 step of phi' = a1 V1 + a2 V2 for m rows of controls.
+
+    ``pts`` is column storage, (d+1, n).  ``a1`` and ``a2`` broadcast to
+    (m, n): an (m, 1) column gives m scalar control pairs, a length-n vector
+    gives one control per point.  Returns (d+1, m, n); block ``[:, c]`` is
+    the step under control row c.
 
     The fields depend on t only, so k3 == k2 and the step is Simpson's rule
     on gamma' at t, t + dt v/2, t + dt v (v = a1 + a2): exact while gamma has
-    degree <= 4.  The classical operation order is kept bit for bit.
+    degree <= 4.  gamma'(t) is evaluated once per call and the other two
+    nodes once per distinct row of v.  The classical operation order is kept
+    bit for bit.
     """
     d = model.d
-    p = np.array(pts, dtype=float, copy=True)
-    t = p[..., d]
-    v = np.asarray(a1) + np.asarray(a2)
-    minus_a2 = -np.asarray(a2)[..., None]
-    k1 = minus_a2 * model.dgamma(t)
-    k2 = minus_a2 * model.dgamma(t + 0.5 * dt * v)
-    k4 = minus_a2 * model.dgamma(t + dt * v)
-    p[..., :d] += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
-    p[..., d] += (dt / 6.0) * (v + 2.0 * v + 2.0 * v + v)
-    return p
+    x, t = pts[:d], pts[d]
+    v = np.atleast_2d(np.add(a1, a2))
+    minus_a2 = np.broadcast_to(-np.atleast_2d(a2), v.shape)
+    out = np.empty((d + 1, v.shape[0], t.shape[0]))
+    dg_start = npoly.polyval(t, model._dcoef)  # gamma'(t) as (d, n) columns
+    nodes = {}  # gamma' at t + dt v/2 and t + dt v, per distinct row of v
+    for c in range(v.shape[0]):
+        vc, ma2 = v[c], minus_a2[c]
+        key = vc.tobytes()
+        if key not in nodes:
+            nodes[key] = [npoly.polyval(t + s * dt * vc, model._dcoef) for s in (0.5, 1.0)]
+        dg_mid, dg_end = nodes[key]
+        k2 = ma2 * dg_mid
+        np.add(x, (dt / 6.0) * (ma2 * dg_start + 2.0 * k2 + 2.0 * k2 + ma2 * dg_end), out=out[:d, c])
+        np.add(t, (dt / 6.0) * (vc + 2.0 * vc + 2.0 * vc + vc), out=out[d, c])
+    return out
 
 
 def flow(model: ModelFamily, z, controls, duration: float) -> ZPoint:
@@ -258,15 +278,15 @@ def flow(model: ModelFamily, z, controls, duration: float) -> ZPoint:
         raise ChartDomainError(f"start point {arr.tolist()} outside chart domain")
     steps = max(1, math.ceil(STEPS_PER_UNIT_TIME * abs(duration)))
     dt = duration / steps
-    p = arr[None, :]
+    p = arr[:, None]
     for k in range(steps):
-        p = rk4_many(model, p, a1, a2, dt)
-        if not model.contains(p[0]):
+        p = rk4_many(model, p, a1, a2, dt)[:, 0]
+        if not model.contains(p[:, 0]):
             raise FlowExitError(
                 f"trajectory exited chart domain near time {(k + 1) * dt:g}",
                 exit_time=(k + 1) * dt,
             )
-    return ZPoint.from_array(p[0])
+    return ZPoint.from_array(p[:, 0])
 
 
 def check_v1_normalization(model: ModelFamily, z, s: float) -> float:

@@ -32,8 +32,13 @@ def encode_cells(cells: np.ndarray) -> np.ndarray:
         raise ConfigError("cells must be a (n, dim) integer array")
     dim = cells.shape[1]
     offset, stride = _packing(dim)
-    if cells.size and np.abs(cells).max() >= offset:
-        raise ConfigError("cell index out of packing range; lattice too fine")
+    if cells.size:
+        worst = int(np.abs(cells).max())
+        if worst >= offset:
+            raise ConfigError(
+                f"cell index out of packing range: {dim}-axis lattice keys need |index| < "
+                f"2^{offset.bit_length() - 1}, got max |index| {worst}; lattice too fine"
+            )
     keys = np.zeros(cells.shape[0], dtype=np.int64)
     for axis in range(dim):
         keys = keys * stride + (cells[:, axis] + offset)

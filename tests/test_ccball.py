@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccradon import calibration
+from ccradon import calibration, ccball
 from ccradon.ccball import (
     ComparabilityWindow,
+    _farthest_per_key,
     _integrate_paths,
     default_tau,
     lemma_balls_report,
@@ -15,7 +18,7 @@ from ccradon.ccball import (
 )
 from ccradon.errors import ChartDomainError, ConfigError, ResolutionError
 from ccradon.geometry import as_zarray
-from ccradon.lattice import points_to_cells
+from ccradon.lattice import encode_cells, points_to_cells
 
 
 def test_window_relation():
@@ -117,24 +120,97 @@ class TestReachBall:
 # Doubled and h0/2 balls of the theta = 0.5 lemma sweep (d2 = d1 ** theta).
 # Their farthest-point dedup and floor cell assignment react to the last bit
 # of the flow: a closed-form step that differs from RK4 by roundoff moves them
-# by 55, 43, 8 and 42 cells.
+# by 55, 43, 8 and 42 cells.  The last five cover a four-axis lattice, the
+# quartic, d1 > d2, an off-centre ball and a ball the chart truncates.
+ORIGIN = (0.0, 0.0, 0.0)
 PINNED_BALLS = (
-    (2 * 2.0 ** -4, 2 * (2.0 ** -4) ** 0.5, 2.0 ** -6, 1323,
+    ("parabola", ORIGIN, 2 * 2.0 ** -4, 2 * (2.0 ** -4) ** 0.5, 2.0 ** -6, 1323,
      "d86bae9dc6bf2cb86aff44c43e13f75158a637d9f8ba19710cf08ef816761162"),
-    (2.0 ** -4, (2.0 ** -4) ** 0.5, 2.0 ** -7, 1001,
+    ("parabola", ORIGIN, 2.0 ** -4, (2.0 ** -4) ** 0.5, 2.0 ** -7, 1001,
      "951ffbe6184cb35f13c8a2cb9c380b07d7a98863a23bdbd9bfc6acea8dea4a78"),
-    (2.0 ** -5, (2.0 ** -5) ** 0.5, 2.0 ** -8, 1071,
+    ("parabola", ORIGIN, 2.0 ** -5, (2.0 ** -5) ** 0.5, 2.0 ** -8, 1071,
      "2234a35865058dc100449fadb9f8266815908397d10d857e033c6f3f00cee6e2"),
-    (2 * 2.0 ** -5, 2 * (2.0 ** -5) ** 0.5, 2.0 ** -7, 1310,
+    ("parabola", ORIGIN, 2 * 2.0 ** -5, 2 * (2.0 ** -5) ** 0.5, 2.0 ** -7, 1310,
      "b74345bb448aa06b7d4690abef31ad7ce3f90c7713de84183cf6f590ff1c579b"),
+    ("cubic", (0.0, 0.0, 0.0, 0.0), 2.0 ** -3, 2.0 ** -3, 2.0 ** -7, 2461,
+     "c1a979f11e6d3a4412c97fab432be7bf57a9c78272c2addacc17cd7b40e04a1b"),
+    ("quartic", ORIGIN, 2.0 ** -3, 2.0 ** -3, 2.0 ** -7, 2404,
+     "abc9b281e0addf55cf3c8534b7802928b30271e73a1ed3f90b8f740d2e5d2bfe"),
+    ("parabola", ORIGIN, 2.0 ** -3, 2.0 ** -5, 2.0 ** -8, 1441,
+     "ec13bc54780721059425d0d688f73f4bb746288af57ab899a6e0da0baabc0eb3"),
+    ("parabola", (0.1, -0.05, 0.2), 2.0 ** -4, 2.0 ** -4, 2.0 ** -8, 1626,
+     "cafe23458e41c16bc66fa1c7297109f6ad10969d7a6fac3dce0945b4c1785717"),
+    ("parabola", (0.9, 0.0, 0.9), 2.0 ** -3, 2.0 ** -3, 2.0 ** -7, 2192,
+     "5853db739f147b50d515e48c4c4637616ad311644f85df784a560de43c0c11c2"),
 )
 
 
-def test_reach_ball_cells_pinned(parabola):
-    for d1, d2, h, n_cells, digest in PINNED_BALLS:
-        cells = np.ascontiguousarray(reach_ball(parabola, (0.0, 0.0, 0.0), d1, d2, h).cells.cells, dtype="<i8")
+def test_reach_ball_cells_pinned(models):
+    for name, z0, d1, d2, h, n_cells, digest in PINNED_BALLS:
+        cells = np.ascontiguousarray(reach_ball(models[name], z0, d1, d2, h).cells.cells, dtype="<i8")
         cells = cells[np.lexsort(cells.T[::-1])]
-        assert (cells.shape[0], hashlib.sha256(cells.tobytes()).hexdigest()) == (n_cells, digest), (d1, d2, h)
+        assert (cells.shape[0], hashlib.sha256(cells.tobytes()).hexdigest()) == (n_cells, digest), (name, z0, d1, d2, h)
+
+
+def _lexsort_first_of_group(keys, dist):
+    """Oracle: the first row of each key group under np.lexsort((-dist, keys))."""
+    order = np.lexsort((-dist, keys))
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = keys[order][1:] != keys[order][:-1]
+    return order[first]
+
+
+class TestFarthestPerKey:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 4)), min_size=1, max_size=60),
+    )
+    def test_matches_lexsort_rule(self, rows):
+        # few keys and few distance values, so exact ties are common
+        keys = np.array([k for k, _ in rows], dtype=np.int64)
+        dist = np.array([0.25 * d for _, d in rows])
+        got = _farthest_per_key(keys, dist)
+        assert got.tolist() == _lexsort_first_of_group(keys, dist).tolist()
+
+    def test_equidistant_points_in_one_refined_cell(self):
+        # two distinct points, same refined cell, the same distance to the
+        # centre bit for bit: the lower pool index wins either way round
+        h_rep = 1.0 / 64.0
+        a, b = [0.1 * h_rep, 0.2 * h_rep, 0.0], [0.2 * h_rep, 0.1 * h_rep, 0.0]
+        for pool in (np.array([a, b]).T, np.array([b, a]).T):
+            keys = encode_cells(np.floor(pool / h_rep + 0.5).astype(np.int64).T)
+            dist = np.sum(pool.T ** 2, axis=1)
+            assert keys[0] == keys[1] and dist[0] == dist[1]
+            assert _farthest_per_key(keys, dist).tolist() == [0]
+
+
+def test_diagnostics_count_the_fixpoint(parabola):
+    ball = reach_ball(parabola, (0.0, 0.0, 0.9), 0.125, 0.125, 2.0 ** -5)
+    assert ball.active_per_round.shape == (ball.rounds,)
+    assert int(ball.new_cells_per_round.sum()) + 1 == ball.cells.n_cells
+    assert ball.truncated and ball.dropped_per_round.sum() > 0
+    inside = reach_ball(parabola, (0.0, 0.0, 0.0), 0.125, 0.125, 2.0 ** -5)
+    assert not inside.truncated and not inside.dropped_per_round.any()
+    assert (inside.active_per_round > 0).all()
+
+
+def test_round_chunks_do_not_change_the_ball(parabola, monkeypatch):
+    # a round steps and keys active points in chunks; ragged chunks, and
+    # chunks where the chart drops points, give the same cells and counts
+    for z0 in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.9)):
+        whole = reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5)
+        with monkeypatch.context() as patch:
+            patch.setattr(ccball, "ROUND_CHUNK", 7)
+            chunked = reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5)
+        assert np.array_equal(whole.cells.cells, chunked.cells.cells), z0
+        for name in ("active_per_round", "new_cells_per_round", "dropped_per_round"):
+            assert np.array_equal(getattr(whole, name), getattr(chunked, name)), (z0, name)
+
+
+def test_packing_limit_named_by_reach_ball(models):
+    # a four-axis lattice packs |index| < 2^14: h = 2^-15 puts x1 = 0.75 at 24576
+    with pytest.raises(ConfigError, match=r"4-axis lattice keys need \|index\| < 2\^14, got max \|index\| 24576"):
+        reach_ball(models["cubic"], (0.75, 0.0, 0.0, 0.0), 2.0 ** -12, 2.0 ** -12, 2.0 ** -15)
 
 
 class TestMcBall:

@@ -42,6 +42,19 @@ class TestBallCommand:
         assert (out / "slab_profile.csv").exists()
         assert (out / "meta.json").exists()
 
+    def test_meta_carries_round_diagnostics(self, runner, tmp_path):
+        scen = write_scenario(tmp_path, BALL_SCENARIO)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        ball = json.loads((out / "ball_report.json").read_text())["ball"]
+        diag = json.loads((out / "meta.json").read_text())["diagnostics"]
+        assert diag["rounds_run"] == ball["rounds"] == len(diag["active_per_round"])
+        assert sum(diag["new_cells_per_round"]) + 1 == ball["n_cells"]
+        assert min(diag["active_per_round"]) > 0
+        assert diag["dropped_per_round"] == [0] * ball["rounds"]
+        assert "diagnostics" not in ball
+
     def test_missing_h_names_field(self, runner, tmp_path):
         bad = json.loads(json.dumps(BALL_SCENARIO))
         del bad["parameters"]["h"]

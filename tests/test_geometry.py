@@ -117,8 +117,8 @@ class TestFlow:
                 pts = rng.uniform(-0.5, 0.5, size=(n, model.dim_z))
                 a2 = rng.uniform(-0.5, 0.5, size=n)
                 a1 = np.where(np.arange(n) % 2, speed, -speed) - a2
-                per_path = rk4_many(model, pts, a1, a2, tau)
-                scalar = rk4_many(model, pts, float(a1[0]), float(a2[0]), tau)
+                per_path = rk4_many(model, pts.T, a1, a2, tau)[:, 0].T
+                scalar = rk4_many(model, pts.T, float(a1[0]), float(a2[0]), tau)[:, 0].T
                 for i in range(n):
                     exact = exact_constant_control_step(model.curve, pts[i, :-1], pts[i, -1], a1[i], a2[i], tau)
                     err = max(abs(float(Fraction(got) - want)) for got, want in zip(per_path[i], exact))
@@ -126,6 +126,23 @@ class TestFlow:
                     exact = exact_constant_control_step(model.curve, pts[i, :-1], pts[i, -1], a1[0], a2[0], tau)
                     err = max(abs(float(Fraction(got) - want)) for got, want in zip(scalar[i], exact))
                     assert err <= 1e-14, (name, speed, i, err)
+
+    def test_rk4_control_rows_match_single_steps(self, models, rng):
+        # a column of scalar control pairs shares the Simpson nodes of equal
+        # speeds; every block is still the single-control step bit for bit
+        tau = 1.0 / 64.0
+        for name in ("parabola", "cubic"):
+            model = models[name]
+            pts = rng.uniform(-0.5, 0.5, size=(model.dim_z, 7))
+            a1 = np.repeat([-0.125, 0.0, 0.125], 3)
+            a2 = np.tile([-0.125, 0.0, 0.125], 3)
+            block = rk4_many(model, pts, a1[:, None], a2[:, None], tau)
+            assert block.shape == (model.dim_z, 9, 7)
+            for c in range(9):
+                one = rk4_many(model, pts, a1[c], a2[c], tau)[:, 0]
+                assert one.tobytes() == np.ascontiguousarray(block[:, c]).tobytes(), (name, c)
+                per_point = rk4_many(model, pts, np.full(7, a1[c]), np.full(7, a2[c]), tau)[:, 0]
+                assert per_point.tobytes() == one.tobytes(), (name, c)
 
     def test_rk4_step_within_simpson_bound_for_degree_8(self, rng):
         # Simpson's rule on [t, t + v tau]: |error in x_i| <= |a2| tau (|v| tau)^4 / 2880 max|gamma_i^(5)|
@@ -135,7 +152,7 @@ class TestFlow:
         for _ in range(64):
             x1, x2, t = rng.uniform(-0.5, 0.5, size=3)
             a1, a2 = rng.uniform(-0.75, 0.75, size=2)
-            got = rk4_many(model, np.array([[x1, x2, t]]), a1, a2, tau)[0]
+            got = rk4_many(model, np.array([[x1], [x2], [t]]), a1, a2, tau)[:, 0, 0]
             exact = exact_constant_control_step(model.curve, (x1, x2), t, a1, a2, tau)
             v = a1 + a2
             reach = max(abs(t), abs(t + v * tau))

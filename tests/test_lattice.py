@@ -12,8 +12,14 @@ def test_encode_decode_roundtrip(rng):
 
 
 def test_encode_rejects_large_indices():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"2-axis lattice keys need \|index\| < 2\^19, got max \|index\| 1048576"):
         encode_cells(np.array([[1 << 20, 0]]))
+    encode_cells(np.array([[(1 << 19) - 1, 0, -((1 << 19) - 1)]]))
+    with pytest.raises(ConfigError, match=r"3-axis lattice keys need \|index\| < 2\^19, got max \|index\| 524288"):
+        encode_cells(np.array([[0, -(1 << 19), 5]]))
+    encode_cells(np.array([[(1 << 14) - 1, 0, 0, 0]]))
+    with pytest.raises(ConfigError, match=r"4-axis lattice keys need \|index\| < 2\^14, got max \|index\| 16384"):
+        encode_cells(np.array([[0, 0, 1 << 14, 0]]))
 
 
 def test_points_to_cells_centered():
