@@ -242,8 +242,8 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
     The fields depend on t only, so k3 == k2 and the step is Simpson's rule
     on gamma' at t, t + dt v/2, t + dt v (v = a1 + a2): exact while gamma has
     degree <= 4.  gamma'(t) is evaluated once per call and the other two
-    nodes once per distinct row of v.  The classical operation order is kept
-    bit for bit.
+    nodes once per distinct scalar speed v.  The classical operation order is
+    kept bit for bit.
     """
     d = model.d
     x, t = pts[:d], pts[d]
@@ -251,10 +251,10 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
     minus_a2 = np.broadcast_to(-np.atleast_2d(a2), v.shape)
     out = np.empty((d + 1, v.shape[0], t.shape[0]))
     dg_start = npoly.polyval(t, model._dcoef)  # gamma'(t) as (d, n) columns
-    nodes = {}  # gamma' at t + dt v/2 and t + dt v, per distinct row of v
+    nodes = {}  # gamma' at t + dt v/2 and t + dt v, shared by the rows of one scalar speed
     for c in range(v.shape[0]):
         vc, ma2 = v[c], minus_a2[c]
-        key = vc.tobytes()
+        key = vc.tobytes() if vc.size == 1 else c
         if key not in nodes:
             nodes[key] = [npoly.polyval(t + s * dt * vc, model._dcoef) for s in (0.5, 1.0)]
         dg_mid, dg_end = nodes[key]
