@@ -63,7 +63,10 @@ def points_to_cells(points: np.ndarray, h: float) -> np.ndarray:
 class LatticeSet:
     """An immutable set of occupied cells of edge ``h`` in ``dim`` axes.
 
-    ``measure`` is cell count times ``h**dim``.
+    ``measure`` is cell count times ``h**dim``.  The rows of ``cells`` are
+    unique and in ascending key order, which is lexicographic order with x1
+    most significant, so each x1 column is one contiguous run of rows; the
+    radon incidence join slices rows by x1 on that.
     """
 
     __slots__ = ("h", "cells", "_keys")

@@ -8,7 +8,9 @@ The adjoint uses the mirrored index shifts of T, so discrete duality
 <Tf, g> = <f, T*g> holds to float roundoff.  Pairings, incidence sets and
 superlevel fibers all come from one join, ``_incidence``, over the same shift
 table.  Because gamma_1(t) = t, the first-coordinate geometry is exact integer
-arithmetic on cell indices throughout.
+arithmetic on cell indices throughout; the join uses it to probe, at each node,
+only the slice of E's x1-sorted cells whose image can land in F's x1 range, by
+binary search of their shifted keys in F's sorted keys.
 """
 from __future__ import annotations
 
@@ -54,9 +56,14 @@ def t_node_range(h: float, window=(-1.0, 1.0)) -> np.ndarray:
 
     Each node carries weight h, so sums over them integrate t over
     [j0*h - h/2, j1*h - h/2): [-1 - h/2, 1 - h/2) for the default window.
+    Raises ConfigError for a non-finite or reversed window, or one holding no node.
     """
+    if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+        raise ConfigError(f"t_window {tuple(window)} must be a finite interval (a, b) with a < b")
     j0 = int(math.ceil(window[0] / h - 1e-9))
     j1 = int(math.ceil(window[1] / h - 1e-9))  # exclusive
+    if j1 <= j0:
+        raise ConfigError(f"t_window {tuple(window)} holds no t-node centre j*h at h = {h:g}")
     return np.arange(j0, j1, dtype=np.int64)
 
 
@@ -117,18 +124,35 @@ def _incidence(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window) -> tu
     of y - gamma(t_j) and the pair counts once in <T chi_E, chi_F>.
 
     Returns (rows, t): indices into E.cells and their t-cells, ordered by t-cell
-    and then by row.  Only t-cells that the exact relation y1 = x1 + t lets
-    connect E to F are probed.
+    and then by row.  One sorted-key probe: key packing is linear, so each
+    shift s_j is a scalar key offset and E's stored keys are never re-encoded.
+    The exact relation y1 = x1 + t_j bounds the rows that can hit at node j to
+    one slice of E's ascending x1 column; that slice's shifted keys are looked
+    up in F's sorted keys by binary search.
     """
     if abs(F.h - E.h) > 1e-15 * E.h:
         raise ConfigError("E and F must share the lattice edge h")
     if not E.dim == F.dim == model.d:
         raise ConfigError(f"E and F must have the model dimension d = {model.d}, got {E.dim} and {F.dim}")
+    x1, f_lo, f_hi = E.cells[:, 0], F.cells[0, 0], F.cells[-1, 0]  # cells are x1-major
     t_cells = t_node_range(E.h, t_window)
-    t_cells = t_cells[(t_cells >= F.cells[:, 0].min() - E.cells[:, 0].max())
-                      & (t_cells <= F.cells[:, 0].max() - E.cells[:, 0].min())]
-    f_keys = F.keys()
-    hits = [np.flatnonzero(np.isin(encode_cells(E.cells - s), f_keys)) for s in _shifts(model, E.h, t_cells)]
+    t_cells = t_cells[(t_cells >= f_lo - x1[-1]) & (t_cells <= f_hi - x1[0])]
+    if t_cells.size == 0:
+        return np.empty(0, dtype=np.intp), t_cells
+    shifts = _shifts(model, E.h, t_cells)
+    lo, hi = E.bounds()
+    # every probed cell x - s lies in this box; past the packing range this
+    # raises the ConfigError that encoding E - s row by row would
+    encode_cells(np.stack([lo - shifts.max(axis=0), hi - shifts.min(axis=0)]))
+    e_keys, f_keys = E.keys(), F.keys()
+    offsets = encode_cells(E.cells[:1] - shifts) - e_keys[0]  # key(x - s) = key(x) + offset
+    starts = np.searchsorted(x1, f_lo + shifts[:, 0])
+    stops = np.searchsorted(x1, f_hi + shifts[:, 0], side="right")
+    hits = []
+    for start, stop, offset in zip(starts, stops, offsets):
+        probe = e_keys[start:stop] + offset
+        found = f_keys.take(np.searchsorted(f_keys, probe), mode="clip") == probe
+        hits.append(start + np.flatnonzero(found))
     rows = np.concatenate([np.empty(0, dtype=np.intp), *hits])
     return rows, np.repeat(t_cells, [hit.size for hit in hits])
 

@@ -338,7 +338,7 @@ def test_criterion_11_decomposition():
 
 
 def test_criterion_12_duality_and_pairing():
-    with criterion(12, "duality to 1e-10; lattice pairing within 10% of the continuum box integral"):
+    with criterion(12, "duality to 1e-10; lattice pairing within 10% of the continuum box integral") as notes:
         h = 2.0 ** -7
         rng = np.random.default_rng(12)
         f = make_grid(2, h)
@@ -347,9 +347,12 @@ def test_criterion_12_duality_and_pairing():
         g.values[:] = rng.random(g.values.shape)
         lhs = float(np.sum(apply_T(PARABOLA, f).values * g.values)) * h * h
         rhs = float(np.sum(f.values * apply_Tstar(PARABOLA, g).values)) * h * h
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-        done = 0
-        while done < 20:
+        gap = abs(lhs - rhs) / max(1.0, abs(lhs))
+        notes.append(f"duality gap {gap:.2e} <= 1e-10")
+        assert gap <= 1e-10
+        lo, hi = calibration.PAIRING_BAND
+        ratios = []
+        while len(ratios) < 20:
             lo1 = rng.uniform(-0.85, 0.5, size=2)
             lo2 = rng.uniform(-0.85, 0.5, size=2)
             E = LatticeSet.from_box(lo1, lo1 + rng.uniform(0.25, 0.45, size=2), h)
@@ -358,10 +361,9 @@ def test_criterion_12_duality_and_pairing():
                 pr = pairing(PARABOLA, E, Fset)
             except ResolutionError:
                 continue  # sets too far apart to incide; redraw
-            ratio = pr.lattice / conftest.continuum_pairing(E, Fset, lambda t: (t, t * t))
-            lo, hi = calibration.PAIRING_BAND
-            assert lo <= ratio <= hi, f"lattice / continuum pairing {ratio:.4f} outside {calibration.PAIRING_BAND}"
-            done += 1
+            ratios.append(pr.lattice / conftest.continuum_pairing(E, Fset, lambda t: (t, t * t)))
+        notes.append(f"lattice / continuum pairing {min(ratios):.4f}..{max(ratios):.4f} in [{lo}, {hi}]")
+        assert lo <= min(ratios) and max(ratios) <= hi
 
 
 def test_criterion_13_determinism(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccradon.ccball import reach_ball
 from ccradon.errors import ConfigError, DegenerateError
 from ccradon.lattice import LatticeSet, decode_keys, encode_cells, points_to_cells
 
@@ -79,3 +80,26 @@ def test_contains_points():
     s = LatticeSet(h, np.array([[0, 0], [1, 1]]))
     hits = s.contains_points(np.array([[0.05, -0.05], [0.25, 0.25], [0.6, 0.6]]))
     assert hits.tolist() == [True, True, False]
+
+
+def test_cells_in_key_order_x1_major(rng, parabola):
+    # every constructor and operation leaves cells unique and lexicographically
+    # ascending (x1 first), checked against a plain Python sort of the rows
+    def assert_ordered(ls):
+        rows = ls.cells.tolist()
+        assert rows == sorted(map(list, set(map(tuple, rows))))
+        assert np.array_equal(ls.keys(), encode_cells(ls.cells))
+
+    h = 2.0 ** -5
+    a = LatticeSet.from_box([-0.3, -0.5], [0.2, 0.1], h)
+    b = LatticeSet.from_points(rng.uniform(-0.6, 0.6, size=(400, 2)), h)
+    c3 = LatticeSet(h, rng.integers(-20, 20, size=(300, 3)))
+    sets = [a, b, c3, a.union(b), a.intersection(b), a.difference(b), b.difference(a),
+            c3.project([2, 0]), c3.project([0, 1]), b.dilate(2)]
+    ball = reach_ball(parabola, (0.0, 0.0, 0.0), 2.0 ** -4, 2.0 ** -4, 2.0 ** -7)
+    for shift in (-9, 13):
+        moved = ball.translate_x1(shift)
+        sets += [moved.cells, moved.proj1, moved.proj2]
+    for ls in sets:
+        assert ls.n_cells > 1
+        assert_ordered(ls)

@@ -154,17 +154,40 @@ class TestPairing:
         assert p1.lattice <= p2.lattice
 
 
-def brute_incidence(gamma, F, h, nh):
+def brute_incidence(gamma, F, h, nh, window=(-1.0, 1.0)):
     """{x: t-cells} by pure-Python loops over y in F and nodes j: x is the cell
     (index i covers [i h - h/2, i h + h/2)) of the point y h - gamma(j h), kept
-    when every |x_i| <= nh.  Nodes j are the centres j h in [-1, 1)."""
+    when every |x_i| <= nh.  Nodes j are the centres j h in the window [a, b)."""
     fibers = {}
     for y in F.cells.tolist():
-        for j in range(math.ceil(-1 / h), math.ceil(1 / h)):
+        for j in range(math.ceil(window[0] / h), math.ceil(window[1] / h)):
             x = tuple(math.floor((yi * h - gi) / h + 0.5) for yi, gi in zip(y, gamma(j * h)))
             if max(abs(xi) for xi in x) <= nh:
                 fibers.setdefault(x, []).append(j)
     return {x: sorted(js) for x, js in fibers.items()}
+
+
+def oracle_draws(rng, d):
+    """(E cells, F cells, t_window) draws at h = 2^-4 for the brute-force oracle:
+    overlapping sets; F offset in x1 from E, so the join's per-node row slices
+    of E are partial; F one or two x1 columns wide, like the ``decompose``
+    slab, against an E with x1 gaps, so some slices are empty; and a window
+    other than the default."""
+    def cells(n, lo, hi, x1_lo=None, x1_hi=None):
+        out = rng.integers(lo, hi + 1, size=(n, d))
+        if x1_lo is not None:
+            out[:, 0] = rng.integers(x1_lo, x1_hi + 1, size=n)
+        return out
+
+    for _ in range(3):
+        yield cells(60, -4, 4), cells(60, -4, 4), (-1.0, 1.0)
+    yield cells(60, -4, 4), cells(60, -4, 4, 3, 10), (-1.0, 1.0)
+    yield cells(60, -4, 4, -3, 6), cells(60, -4, 4, -10, -2), (-1.0, 1.0)
+    for width in (1, 2):  # E on even x1 only: against one column, every other slice is empty
+        e_cells = cells(150, -6, 6, -4, 4)
+        e_cells[:, 0] *= 2
+        yield e_cells, cells(80, -6, 6, 2, 1 + width), (-1.0, 1.0)
+    yield cells(60, -4, 4), cells(60, -4, 4), (-0.4, 0.7)
 
 
 @pytest.mark.parametrize("name", ["parabola", "cubic"])
@@ -173,17 +196,16 @@ def test_brute_force_incidence_oracle(models, name):
     d, h = model.d, 2.0 ** -4
     nh = math.ceil(1 / h)
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        E = LatticeSet(h, rng.integers(-4, 5, size=(60, d)))
-        F = LatticeSet(h, rng.integers(-4, 5, size=(60, d)))
-        fibers = brute_incidence(GAMMAS[name], F, h, nh)
+    for e_cells, f_cells, window in oracle_draws(rng, d):
+        E, F = LatticeSet(h, e_cells), LatticeSet(h, f_cells)
+        fibers = brute_incidence(GAMMAS[name], F, h, nh, window)
         omega = {x + (j,) for x in map(tuple, E.cells.tolist()) for j in fibers.get(x, [])}
         assert len(omega) >= 10
-        assert pairing(model, E, F).lattice / h ** (d + 1) == len(omega)
-        assert set(map(tuple, incidence_set(model, E, F).cells.tolist())) == omega
+        assert pairing(model, E, F, window).lattice / h ** (d + 1) == len(omega)
+        assert set(map(tuple, incidence_set(model, E, F, window).cells.tolist())) == omega
         for k in range(6):  # layers (2^(k-1) h, 2^k h] hold every nonempty fiber
             beta = h * 2.0 ** (k - 1)
-            sl = superlevel_set(model, F, beta)
+            sl = superlevel_set(model, F, beta, window)
             want = {x: js for x, js in fibers.items() if beta < len(js) * h <= 2 * beta}
             got = {}
             for row, t in zip(sl.rows.tolist(), sl.t_cells.tolist()):
@@ -191,6 +213,30 @@ def test_brute_force_incidence_oracle(models, name):
             assert got == want
             assert sl.rows.tolist() == sorted(sl.rows.tolist())
             assert sl.fiber_measures.tolist() == [len(want[tuple(x)]) * h for x in sl.E.cells.tolist()]
+
+
+def test_pair_without_common_node(parabola):
+    # y1 = x1 + j needs j >= 17, past the last node j = 15 at h = 2^-4
+    h = 2.0 ** -4
+    E = LatticeSet.from_box([-0.5, -0.25], [-0.25, 0.25], h)
+    F = LatticeSet.from_box([0.75, -0.25], [0.9, 0.25], h)
+    assert incidence_set(parabola, E, F).is_empty
+    with pytest.raises(ResolutionError):
+        pairing(parabola, E, F)
+
+
+@pytest.mark.parametrize("first_x2", [(1 << 19) - 2, 5])
+def test_probe_past_packing_range_raises(parabola, first_x2):
+    # nodes 11..13 shift x2 by -8..-11 cells, so E - s leaves |index| < 2^19;
+    # the join must refuse rather than return keys that alias other cells,
+    # also when E's first cell, which fixes the key offsets, stays in range
+    h, top = 2.0 ** -4, 1 << 19
+    E = LatticeSet(h, [[0, first_x2], [1, top - 3]])
+    F = LatticeSet(h, [[12, top - 2], [13, 5]])
+    with pytest.raises(ConfigError, match=r"2\^19"):
+        pairing(parabola, E, F, min_cells=1)
+    with pytest.raises(ConfigError, match=r"2\^19"):
+        incidence_set(parabola, E, F)
 
 
 class TestRwt:
@@ -279,3 +325,15 @@ class TestNecessity:
 def test_t_node_range_exact_window():
     nodes = t_node_range(0.125, (-0.25, 0.25))
     assert nodes.tolist() == [-2, -1, 0, 1]
+
+
+@pytest.mark.parametrize("window", [(0.5, -0.5), (0.25, 0.25), (0.01, 0.1), (-math.inf, 1.0), (0.0, math.nan)])
+def test_t_window_rejected(parabola, window):
+    # reversed, empty, node-free and non-finite windows name themselves
+    E = LatticeSet.from_box([0, 0], [0.25, 0.25], 0.125)
+    with pytest.raises(ConfigError, match="t_window"):
+        t_node_range(0.125, window)
+    with pytest.raises(ConfigError, match="t_window"):
+        pairing(parabola, E, E, t_window=window)
+    with pytest.raises(ConfigError, match="t_window"):
+        apply_T(parabola, make_grid(2, 0.125), t_window=window)
