@@ -35,7 +35,7 @@ def _git(root: Path, *args) -> str:
                           text=True).stdout.strip()
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
@@ -87,7 +87,7 @@ def main() -> int:
     for w in bench["workloads"]:
         runs = []
         for seed in SEEDS:
-            runs.append(_run(root, w["name"], seed, seconds))
+            runs.append(run_once(root, w["name"], seed, seconds))
             print(f"{args.label} {w['name']} seed {seed}: " + ", ".join(
                 f"{k} {v:.4g}" for k, v in runs[-1]["metrics"].items()), flush=True)
         workloads[w["name"]] = {"summary": _summary(runs), "runs": runs}

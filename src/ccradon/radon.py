@@ -5,12 +5,16 @@ with nodes t_j = j*h on the t-lattice (dt = h).  A window (a, b) takes the
 nodes whose centres lie in [a, b); each carries weight h, so the sums integrate
 t over [j0*h - h/2, j1*h - h/2), which for (-1, 1) is [-1 - h/2, 1 - h/2).
 The adjoint uses the mirrored index shifts of T, so discrete duality
-<Tf, g> = <f, T*g> holds to float roundoff.  Pairings, incidence sets and
-superlevel fibers all come from one join, ``_incidence``, over the same shift
-table.  Because gamma_1(t) = t, the first-coordinate geometry is exact integer
-arithmetic on cell indices throughout; the join uses it to probe, at each node,
-only the slice of E's x1-sorted cells whose image can land in F's x1 range, by
-binary search of their shifted keys in F's sorted keys.
+<Tf, g> = <f, T*g> holds to float roundoff.  T and T* share one body,
+``_shift_sum``: the products h f sit once in a flat, zero-padded copy of the
+grid, so each node adds one contiguous slice into a small tile of output
+rows; reads that fall in the padding add +0.0, which changes no bit of the
+per-node sums.  Pairings, incidence sets and superlevel fibers all come from
+one join, ``_incidence``, over the same shift table.  Because
+gamma_1(t) = t, the first-coordinate geometry is exact integer arithmetic on
+cell indices throughout; the join uses it to probe, at each node, only the
+slice of E's x1-sorted cells whose image can land in F's x1 range, by binary
+search of their shifted keys in F's sorted keys.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from .lattice import LatticeSet, encode_cells
 from .mixednorm import GridFunctionY, conjugate, mixed_norm_indicator
 
 MAX_DENSE_CELLS = 1 << 26
+SHIFT_TILE_BYTES = 1 << 18  # padded output rows summed per tile in _shift_sum
 
 
 def _n_half(h: float) -> int:
@@ -37,7 +42,10 @@ def make_grid(d: int, h: float) -> GridFunctionY:
     nh = _n_half(h)
     n = 2 * nh + 1
     if n ** d > MAX_DENSE_CELLS:
-        raise ConfigError("dense grid too large; use sparse set operations")
+        raise ConfigError(
+            f"dense grid too large: {n}^{d} = {n ** d} cells at h = {h:g} exceeds "
+            f"MAX_DENSE_CELLS = 2^26 = {MAX_DENSE_CELLS}; use sparse set operations"
+        )
     return GridFunctionY(h=h, origin=(-nh,) * d, values=np.zeros((n,) * d))
 
 
@@ -82,31 +90,55 @@ def _shifts(model: ModelFamily, h: float, t_cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, shift, weight: float):
-    """dst[k] += weight * src[k + shift] where defined."""
-    d = dst.ndim
-    dst_sl, src_sl = [], []
-    for ax in range(d):
-        s = int(shift[ax])
-        n = dst.shape[ax]
-        lo = max(0, -s)
-        hi = min(n, n - s)
-        if hi <= lo:
-            return
-        dst_sl.append(slice(lo, hi))
-        src_sl.append(slice(lo + s, hi + s))
-    dst[tuple(dst_sl)] += weight * src[tuple(src_sl)]
-
-
 def _shift_sum(model: ModelFamily, f: GridFunctionY, t_window, sign: int) -> GridFunctionY:
-    """sum_j f[k + sign * s_j] h over the window's nodes: T for sign 1, T* for -1."""
+    """sum_j f[k + sign * s_j] h over the window's nodes: T for sign 1, T* for -1.
+
+    One contiguous slice add per node.  The products h * f are formed once and
+    laid out in a flat zero buffer of padded shape N0 x (N1 + P1) x ..., where
+    P_i is the largest |shift| on trailing axis i, with one padded row of zero
+    margin at each end.  A node that shifts some axis by N_i or more reads no
+    grid cell and is dropped, so P_i < N_i; the buffer holds N0 x prod(N_i + P_i)
+    cells plus the margin, about 1.5x the grid for the parabola and 2.25x for
+    the cubic.  A trailing-axis read past either end of a row lands in that
+    row's or the previous row's padding, so a node's shifted read of whole
+    padded rows is one slice at the flat offset s . strides; the leading axis,
+    shifted by -+j, is clipped to the rows whose source row exists.
+
+    Output rows are summed one tile of leading-axis rows at a time
+    (``SHIFT_TILE_BYTES`` of padded rows), every node into the tile in node
+    order, and the tile's unpadded part is copied out.  Each cell adds the same
+    products in the same order as a per-node loop that skips off-grid sources,
+    and where that loop skipped, this one adds +0.0.  That changes no bit: the
+    sum starts at +0.0, and in round-to-nearest x + y is -0.0 only when both
+    terms are, so no partial sum is -0.0 and adding +0.0 leaves it unchanged.
+    """
     if f.values.ndim != model.d:
         raise ConfigError(f"grid has {f.values.ndim} axes, model {model.name!r} has d = {model.d}")
-    h = f.h
-    out = GridFunctionY(h=h, origin=f.origin, values=np.zeros_like(f.values))
-    for s in _shifts(model, h, t_node_range(h, t_window)):
-        _shift_add(out.values, f.values, sign * s, h)
-    return out
+    h, shape = f.h, f.values.shape
+    dtype = np.result_type(h, f.values)  # the dtype of h * f.values
+    shifts = sign * _shifts(model, h, t_node_range(h, t_window))
+    shifts = shifts[(np.abs(shifts) < shape).all(axis=1)]
+    n0, inner = shape[0], shape[1:]
+    padded = tuple(int(m + p) for m, p in zip(inner, np.abs(shifts[:, 1:]).max(axis=0, initial=0)))
+    row = math.prod(padded)
+    strides = np.array([math.prod(padded[ax:]) for ax in range(len(padded) + 1)])
+    src = np.zeros((n0 + 2) * row, dtype=dtype)
+    unpad = (slice(None),) + tuple(slice(0, m) for m in inner)
+    np.multiply(h, f.values, out=src[row:-row].reshape((n0,) + padded)[unpad])  # every node adds these products
+    offsets = row + shifts @ strides  # flat read offset of each node, tile row 0 at flat 0
+    tile_rows = max(1, SHIFT_TILE_BYTES // (row * src.itemsize))
+    tile = np.empty(tile_rows * row, dtype=dtype)
+    out = np.empty(shape, dtype=dtype)
+    for r0 in range(0, n0, tile_rows):
+        r1 = min(r0 + tile_rows, n0)
+        starts = (np.maximum(r0, -shifts[:, 0]) - r0) * row
+        stops = (np.minimum(r1, n0 - shifts[:, 0]) - r0) * row
+        tile.fill(0.0)
+        for a, b, off in zip(starts.tolist(), stops.tolist(), (offsets + r0 * row).tolist()):
+            if a < b:
+                tile[a:b] += src[a + off:b + off]
+        out[r0:r1] = tile[: (r1 - r0) * row].reshape((r1 - r0,) + padded)[unpad]
+    return GridFunctionY(h=h, origin=f.origin, values=out)
 
 
 def apply_T(model: ModelFamily, f: GridFunctionY, t_window=(-1.0, 1.0)) -> GridFunctionY:

@@ -273,32 +273,35 @@ def test_criterion_08_region_classification(parabola_region):
 
 
 def test_criterion_09_inequality_tests():
-    with criterion(9, "rwt bounded at (5/3,3,3); doubles per halving (25%) outside"):
+    with criterion(9, "rwt bounded at (5/3,3,3); doubles per halving (25%) outside") as notes:
         pos, neg = [], []
         for k in (3, 4, 5, 6):
             d = 2.0 ** -k
             ball = reach_ball(PARABOLA, (0.0, 0.0, 0.0), d, d, default_h_rule(d, d))
             pos.append(rwt_ratio(PARABOLA, ball.proj1, ball.proj2, F(5, 3), 3, 3))
             neg.append(rwt_ratio(PARABOLA, ball.proj1, ball.proj2, 1.1, 4, 4))
-        assert all(v <= calibration.RWT_BOUND_533 for v in pos), pos
         lo, hi = calibration.DOUBLING_BAND
         factors = [neg[i + 1] / neg[i] for i in range(len(neg) - 1)]
+        notes += [f"rwt(5/3,3,3) {', '.join(f'{v:.4f}' for v in pos)} <= {calibration.RWT_BOUND_533}",
+                  f"rwt(1.1,4,4) doubling {', '.join(f'{v:.3f}' for v in factors)} in [{lo}, {hi}]"]
+        assert all(v <= calibration.RWT_BOUND_533 for v in pos), pos
         assert all(lo <= f <= hi for f in factors), factors
 
 
 def test_criterion_10_necessity_construction():
-    with criterion(10, "necessity union: exact certificates, ratio doubles n -> n+2"):
+    with criterion(10, "necessity union: exact certificates, ratio doubles n -> n+2") as notes:
         balls = []
         for n in range(4):
             d = 2.0 ** (-3 - n)
             balls.append(reach_ball(PARABOLA, (-0.8, 0.0, 0.0), d, d, default_h_rule(d, d)))
         records = necessity_union(PARABOLA, balls, 1.15, 1, math.inf)
+        growth = [records[i + 2].ratio / records[i].ratio for i in range(len(records) - 2)]
+        notes.append(f"ratio[n+2] / ratio[n] {', '.join(f'{g:.3f}' for g in growth)} >= 2")
         for rec, ball in zip(records, balls):
             assert rec.disjoint
             assert rec.proj1_subadditive
             assert rec.union_volume == pytest.approx(rec.n_translates * ball.volume, rel=1e-12)
-        for i in range(len(records) - 2):
-            assert records[i + 2].ratio / records[i].ratio >= 2.0
+        assert all(g >= 2.0 for g in growth), growth
 
 
 def test_criterion_11_decomposition():

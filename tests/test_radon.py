@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import conftest
 
+from ccradon import radon
 from ccradon.calibration import PAIRING_BAND
 from ccradon.ccball import reach_ball
 from ccradon.errors import ConfigError, DegenerateError, ResolutionError
+from ccradon.geometry import ModelFamily
 from ccradon.lattice import LatticeSet
 from ccradon.radon import (
     apply_T,
@@ -90,6 +93,79 @@ class TestTransform:
         Ts = apply_Tstar(parabola, g, t_window=(-0.25, 0.25))
         nh = -Ts.origin[0]
         assert Ts.values[nh, nh] == pytest.approx(0.5, abs=1e-12)
+
+
+def reference_shift_sum(model, f, t_window, sign):
+    """The per-node slice loop that ``_shift_sum`` replaced: for each node in
+    order, out[k] += h * f[k + sign * s_j] over the cells k whose source is on
+    the grid, as one strided in-place add."""
+    h = f.h
+    out = np.zeros_like(f.values)
+    for s in sign * radon._shifts(model, h, t_node_range(h, t_window)):
+        dst_sl, src_sl = [], []
+        for n, shift in zip(out.shape, s.tolist()):
+            lo, hi = max(0, -shift), min(n, n - shift)
+            dst_sl.append(slice(lo, hi))
+            src_sl.append(slice(lo + shift, hi + shift))
+        if all(sl.stop > sl.start for sl in dst_sl):
+            out[tuple(dst_sl)] += h * f.values[tuple(src_sl)]
+    return out
+
+
+# a custom curve whose x2 shifts take both signs and, at h = 2^-3, leave the
+# grid (empty node slices), and a cubic with negative coefficients
+ODD_CURVES = {
+    "wide": ModelFamily("wide", ((0.0, 1.0), (0.0, -1.0, 2.0)), ((-1.0, 1.0),) * 3),
+    "negcubic": ModelFamily("negcubic", ((0.0, 1.0), (0.0, 0.5, -1.0), (0.0, -0.25, 0.0, -1.0)),
+                            ((-1.0, 1.0),) * 4),
+}
+
+
+@pytest.mark.parametrize("name", ["parabola", "cubic", "quartic", "wide", "negcubic"])
+@pytest.mark.parametrize("h", [2.0 ** -3, 2.0 ** -5])
+def test_shift_sum_matches_per_node_loop_bitwise(models, monkeypatch, name, h):
+    model = models.get(name) or ODD_CURVES[name]
+    rng = np.random.default_rng(9)
+    f = make_grid(model.d, h)
+    f.values[:] = rng.standard_normal(f.values.shape)
+    f.values[rng.random(f.values.shape) < 0.2] = 0.0
+    n0 = f.values.shape[0]
+    assert n0 % 3 != 0
+    for window in ((-1.0, 1.0), (-0.3, 0.2)):
+        # one padded row as _shift_sum lays it out: N_i + the largest |shift|
+        # among nodes that read some grid cell
+        shifts = radon._shifts(model, h, t_node_range(h, window))
+        pads = np.abs(shifts[(np.abs(shifts) < f.values.shape).all(axis=1), 1:]).max(axis=0)
+        row_bytes = 8 * math.prod(n + p for n, p in zip(f.values.shape[1:], pads.tolist()))
+        # the module's tile, one row per tile, and 3 rows per tile, which divides no n0 here
+        for tile_bytes in (radon.SHIFT_TILE_BYTES, 1, 3 * row_bytes):
+            monkeypatch.setattr(radon, "SHIFT_TILE_BYTES", tile_bytes)
+            for transform, sign in ((apply_T, 1), (apply_Tstar, -1)):
+                got = transform(model, f, window).values
+                want = reference_shift_sum(model, f, window, sign)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (tile_bytes, window, sign)
+
+
+def test_shift_sum_cases_have_empty_node_slices():
+    # at h = 2^-3 the "wide" curve shifts x2 both ways, by up to 24 cells on a
+    # 17-cell axis, so some nodes read no grid cell at all
+    shifts = radon._shifts(ODD_CURVES["wide"], 2.0 ** -3, t_node_range(2.0 ** -3))
+    assert np.abs(shifts[:, 1]).max() >= 17
+    assert shifts[:, 1].min() < 0 < shifts[:, 1].max()
+
+
+def test_dense_grid_limit_named_before_allocating():
+    # 1025^3 cells at h = 2^-9 in d = 3: refused with the limit and the count,
+    # before any grid-sized allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"1025\^3 = 1076890625 cells.*2\^26 = 67108864"):
+            make_grid(3, 2.0 ** -9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestPairing:
