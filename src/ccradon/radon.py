@@ -30,7 +30,7 @@ from .lattice import LatticeSet, encode_cells
 from .mixednorm import GridFunctionY, conjugate, mixed_norm_indicator
 
 MAX_DENSE_CELLS = 1 << 26
-SHIFT_TILE_BYTES = 1 << 18  # padded output rows summed per tile in _shift_sum
+SHIFT_TILE_BYTES = 1 << 18  # bytes of padded output rows that _shift_sum sums per tile
 
 
 def _n_half(h: float) -> int:
