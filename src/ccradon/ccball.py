@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import ChartDomainError, ConfigError, ResolutionError
 from .geometry import ModelFamily, as_zarray, rk4_many
-from .lattice import LatticeSet, decode_keys, encode_cells
+from .lattice import LatticeSet, decode_keys, encode_cells, points_to_cells
 from .mixednorm import conjugate, mixed_norm_indicator
 
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
 ROUND_CHUNK = 8192  # active points a reach_ball round steps and keys together
+MIN_PROJ_CELLS = 10  # lemma_balls_report refuses ratios of projections with fewer cells
 
 
 @dataclass(frozen=True)
@@ -64,49 +65,6 @@ class BallEstimate:
     new_cells_per_round: np.ndarray  # cells added to the ball; their sum + 1 is n_cells
     dropped_per_round: np.ndarray  # pool points outside the chart domain
 
-    @property
-    def proj1_measure(self) -> float:
-        return self.proj1.measure
-
-    @property
-    def proj2_measure(self) -> float:
-        return self.proj2.measure
-
-    def translate_x1(self, shift_cells: int) -> "BallEstimate":
-        """Exact congruent copy shifted along x1 by an integer number of cells.
-
-        Valid because the model fields do not depend on x, so flows commute
-        with x-translations and cell assignment shifts by whole indices.
-        """
-        cells = self.cells.cells.copy()
-        cells[:, 0] += shift_cells
-        p1 = self.proj1.cells.copy()
-        p1[:, 0] += shift_cells
-        p2 = self.proj2.cells.copy()
-        p2[:, 0] += shift_cells
-        center = (self.center[0] + shift_cells * self.h,) + self.center[1:]
-        return BallEstimate(
-            model_name=self.model_name,
-            center=center,
-            delta1=self.delta1,
-            delta2=self.delta2,
-            h=self.h,
-            tau=self.tau,
-            rounds=self.rounds,
-            cells=LatticeSet(self.h, cells),
-            volume=self.volume,
-            proj1=LatticeSet(self.h, p1),
-            proj2=LatticeSet(self.h, p2),
-            pi_cols=self.pi_cols + shift_cells,
-            pi_extent=self.pi_extent,
-            c_geom=self.c_geom,
-            slab_values=self.slab_values.copy(),
-            truncated=self.truncated,
-            active_per_round=self.active_per_round,
-            new_cells_per_round=self.new_cells_per_round,
-            dropped_per_round=self.dropped_per_round,
-        )
-
     def to_report(self) -> dict:
         return {
             "model": self.model_name,
@@ -118,8 +76,8 @@ class BallEstimate:
             "rounds": self.rounds,
             "n_cells": self.cells.n_cells,
             "volume": self.volume,
-            "proj1": self.proj1_measure,
-            "proj2": self.proj2_measure,
+            "proj1": self.proj1.measure,
+            "proj2": self.proj2.measure,
             "pi_extent": self.pi_extent,
             "c_geom": self.c_geom,
             "truncated": self.truncated,
@@ -160,7 +118,7 @@ def pi2_cells(model: ModelFamily, cells: np.ndarray, h: float) -> np.ndarray:
     ycells[:, 0] = cells[:, 0] + cells[:, d]
     if d > 1:
         gam = model.gamma(cells[:, d] * h)[:, 1:]
-        ycells[:, 1:] = np.floor((cells[:, 1:d] * h + gam) / h + 0.5).astype(np.int64)
+        ycells[:, 1:] = points_to_cells(cells[:, 1:d] * h + gam, h)
     return ycells
 
 
@@ -241,7 +199,7 @@ def _expand(model: ModelFamily, active: np.ndarray, a1, a2, tau: float, z0: np.n
         inside[:, cols] = ok
         if not ok.all():
             block = np.where(ok, block, z0[:, None, None])
-        keys[:, cols] = encode_cells(np.floor(block / h_rep + 0.5).astype(np.int64).reshape(dim, -1).T).reshape(m, -1)
+        keys[:, cols] = encode_cells(points_to_cells(block, h_rep).reshape(dim, -1).T).reshape(m, -1)
         # summed left to right, as np.sum over a row of coordinates does
         for coord, c0 in zip(block, z0):
             dx = coord - c0
@@ -255,15 +213,15 @@ def reach_ball(
     delta1: float,
     delta2: float,
     h: float,
-    tau: float | None = None,
 ) -> BallEstimate:
     """Breadth-first reachable-cell fixpoint under the nine extreme controls.
 
-    The active population carries exact trajectory points, deduplicated each
-    round on a refined sub-lattice: coarse pruning systematically hijacks
-    advancing fronts with slow interior points, so the dedup resolution tracks
-    the per-round stride (clamped to [h/4, h/2]).  Cells leaving the chart are
-    dropped and flagged, never clamped.
+    Unit time is split into ``ceil(1 / default_tau(delta1, delta2, h))``
+    rounds of equal length.  The active population carries exact trajectory
+    points, deduplicated each round on a refined sub-lattice: coarse pruning
+    systematically hijacks advancing fronts with slow interior points, so the
+    dedup resolution tracks the per-round stride (clamped to [h/4, h/2]).
+    Cells leaving the chart are dropped and flagged, never clamped.
 
     Each round steps every active point under the nine controls into one
     column-storage pool, (d+1, 9n), control-major; pool order breaks
@@ -273,18 +231,14 @@ def reach_ball(
     z0 = as_zarray(z0, model.dim_z)
     if not model.contains(z0):
         raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
-    if tau is None:
-        tau = default_tau(delta1, delta2, h)
-    if not (0.0 < tau <= 1.0):
-        raise ConfigError("tau must lie in (0, 1]")
-    rounds = math.ceil(1.0 / tau - 1e-12)
+    rounds = math.ceil(1.0 / default_tau(delta1, delta2, h) - 1e-12)
     tau = 1.0 / rounds
     a1 = np.repeat([-delta1, 0.0, delta1], 3)[:, None]
     a2 = np.tile([-delta2, 0.0, delta2], 3)[:, None]
     stride = (delta1 + delta2) * tau
     h_rep = min(max(stride, h / 4.0), h / 2.0)
 
-    visited = encode_cells(np.floor(z0 / h + 0.5).astype(np.int64)[None, :])
+    visited = encode_cells(points_to_cells(z0, h)[None, :])
     active = z0[:, None].copy()
     stats = []  # (active, new cells, dropped) per round
     for _ in range(rounds):
@@ -301,7 +255,7 @@ def reach_ball(
                 break
             pick = kept[_farthest_per_key(rep_keys[kept], dist[kept])]
         active = pool[:, pick]
-        keys = encode_cells(np.floor(active / h + 0.5).astype(np.int64).T)
+        keys = encode_cells(points_to_cells(active, h).T)
         n_visited = visited.shape[0]
         visited = np.union1d(visited, keys)
         stats.append((active.shape[1], visited.shape[0] - n_visited, dropped))
@@ -346,10 +300,10 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
     """
     if paths < 1000:
         raise ConfigError("mc_ball requires paths >= 1000")
-    _check_radii(delta1, delta2, h if h is not None else min(delta1, delta2) / 8.0)
-    z0 = as_zarray(z0, model.dim_z)
     if h is None:
         h = min(delta1, delta2) / 8.0
+    _check_radii(delta1, delta2, h)
+    z0 = as_zarray(z0, model.dim_z)
     rng = np.random.default_rng(seed)
     controls = rng.uniform(-1.0, 1.0, size=(paths, MC_CONTROL_PIECES, 2))
     controls[:, :, 0] *= delta1
@@ -384,10 +338,8 @@ def lemma_balls_report(
     q: float,
     r: float,
     h: float,
-    tau: float | None = None,
     p: float | None = None,
     window: ComparabilityWindow | None = None,
-    min_proj_cells: int = 10,
     return_balls: bool = False,
 ):
     """Empirical comparison ratios for the five ball facts.
@@ -405,21 +357,23 @@ def lemma_balls_report(
         raise ConfigError("radii are not weakly comparable for the window under test")
     if p is None:
         p = q
-    b1 = reach_ball(model, z0, delta1, delta2, h, tau=tau)
-    b2 = reach_ball(model, z0, 2.0 * delta1, 2.0 * delta2, h, tau=tau)
-    for proj in (b1.proj1, b1.proj2):
-        if proj.n_cells < min_proj_cells:
-            raise ResolutionError("projected set has fewer than 10 cells")
+    b1 = reach_ball(model, z0, delta1, delta2, h)
+    b2 = reach_ball(model, z0, 2.0 * delta1, 2.0 * delta2, h)
+    for name, proj in (("proj1", b1.proj1), ("proj2", b1.proj2)):
+        if proj.n_cells < MIN_PROJ_CELLS:
+            raise ResolutionError(
+                f"{name} of the ball has {proj.n_cells} cells (< MIN_PROJ_CELLS = {MIN_PROJ_CELLS}); refine h"
+            )
     iq, ir, ip = _inv(q), _inv(r), _inv(p)
     qc, rc = conjugate(q), conjugate(r)
     norm = mixed_norm_indicator(b1.proj2, qc, rc)
     ratio_i = b2.volume / b1.volume
-    ratio_ii_1 = b1.volume / (b1.proj1_measure * delta1)
-    ratio_ii_2 = b1.volume / (b1.proj2_measure * delta2)
+    ratio_ii_1 = b1.volume / (b1.proj1.measure * delta1)
+    ratio_ii_2 = b1.volume / (b1.proj2.measure * delta2)
     ratio_iii = b1.pi_extent / delta1
     rhs_iv = b1.volume ** (1.0 - ir) * delta1 ** (ir - iq) * delta2 ** (ir - 1.0)
     ratio_iv = norm / rhs_iv
-    lhs_v = b1.volume / (b1.proj1_measure ** ip * norm)
+    lhs_v = b1.volume / (b1.proj1.measure ** ip * norm)
     rhs_v = b1.volume ** (ir - ip) * delta1 ** (ip + iq - ir) * delta2 ** (1.0 - ir)
     ratio_v = lhs_v / rhs_v
     report = {
@@ -431,8 +385,8 @@ def lemma_balls_report(
         "r": r,
         "volume": b1.volume,
         "volume_doubled": b2.volume,
-        "proj1": b1.proj1_measure,
-        "proj2": b1.proj2_measure,
+        "proj1": b1.proj1.measure,
+        "proj2": b1.proj2.measure,
         "pi_extent": b1.pi_extent,
         "norm_q_r_conj": norm,
         "truncated": b1.truncated or b2.truncated,

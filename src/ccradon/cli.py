@@ -153,7 +153,9 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
     center = params.get("center", [0.0] * model.dim_z)
     if "steps" in params.get("mc", {}):
         raise click.UsageError("parameters.mc.steps is not supported: mc flows take one step per control piece, exact for curves of degree <= 4")
-    ball = reach_ball(model, center, d1, d2, h, tau=params.get("tau"))
+    if "tau" in params:
+        raise click.UsageError("parameters.tau is not supported: reach_ball takes its round length from default_tau(delta1, delta2, h)")
+    ball = reach_ball(model, center, d1, d2, h)
     report = {"command": "ball", "parameters": _sanitize(params), "model": model.to_json_dict(), "ball": ball.to_report(), "passed": True}
     if "mc" in params:
         if seed is None:

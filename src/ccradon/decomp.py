@@ -531,7 +531,6 @@ def dense_ball_search(
     varrho: float = 0.1,
     c_const: float = 1.0 / 16.0,
     max_centers: int = 16,
-    tau=None,
 ) -> SearchResult:
     """Search sampled centers and grid radii for the densest ball in Omega and
     compare the best density against c alpha^varrho (a1/d1)^floor((d+2)/2)
@@ -556,7 +555,7 @@ def dense_ball_search(
         for d1, d2 in delta_pairs:
             if h > min(d1, d2) / 4.0:
                 continue
-            ball = reach_ball(model, z, d1, d2, h, tau=tau)
+            ball = reach_ball(model, z, d1, d2, h)
             inter = ball.cells.intersection(omega)
             density = inter.n_cells / ball.cells.n_cells
             evaluations.append(

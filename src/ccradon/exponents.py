@@ -24,6 +24,8 @@ INF = math.inf
 INSIDE_RATE = 0.1
 OUTSIDE_RATE = 0.6
 DEFAULT_MARGIN = 0.1
+MIN_BALL_CELLS = 10  # fewer cells in any ball job marks the region resolution-limited
+SNAP_TOL_CAP = 0.2  # largest |fitted - lattice| rate that still snaps
 
 
 def _recip(value) -> Fraction:
@@ -190,7 +192,7 @@ class RatioSequence:
 
     The path is (d1, d2) = (C1 g^e1, C2 g^e2) for the sweep variable g; for
     polynomial models the true volume rate d log2 vol / d log2 g lies on the
-    lattice {i e1 + j e2 : integers i, j}, which ``snapped_rate`` exploits.
+    lattice {i e1 + j e2 : integers i, j}, which ``fit_rate`` exploits.
     """
 
     window: ComparabilityWindow
@@ -204,22 +206,23 @@ class RatioSequence:
     raw_rate: float = math.nan
     snapped: bool = False
 
-    def fit_rate(self, snap: bool, snap_tol_cap: float = 0.2) -> float:
+    def fit_rate(self) -> float:
+        """Least-squares volume rate, snapped to the nearest lattice rate when
+        it lies within min(SNAP_TOL_CAP, 0.45 x the lattice spacing there)."""
         g = np.log2(np.asarray(self.sweep))
         v = np.log2(np.asarray(self.volumes))
         rate = float(np.polyfit(g, v, 1)[0])
         self.raw_rate = rate
-        if snap:
-            cand = sorted(
-                {i * self.e1 + j * self.e2 for i in range(0, 13) for j in range(0, 13)}
-            )
-            nearest = min(cand, key=lambda c: abs(c - rate))
-            gaps = [abs(c - nearest) for c in cand if abs(c - nearest) > 1e-12]
-            spacing = min(gaps) if gaps else 1.0
-            tol = min(snap_tol_cap, 0.45 * spacing)
-            if abs(nearest - rate) <= tol:
-                self.snapped = True
-                return float(nearest)
+        cand = sorted(
+            {i * self.e1 + j * self.e2 for i in range(0, 13) for j in range(0, 13)}
+        )
+        nearest = min(cand, key=lambda c: abs(c - rate))
+        gaps = [abs(c - nearest) for c in cand if abs(c - nearest) > 1e-12]
+        spacing = min(gaps) if gaps else 1.0
+        tol = min(SNAP_TOL_CAP, 0.45 * spacing)
+        if abs(nearest - rate) <= tol:
+            self.snapped = True
+            return float(nearest)
         return rate
 
 
@@ -308,14 +311,8 @@ def estimate_region(
     windows=None,
     delta_grid=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
     z_samples=None,
-    h=None,
     c1_grid=None,
     c2_grid=None,
-    tau=None,
-    inside_rate: float = INSIDE_RATE,
-    outside_rate: float = OUTSIDE_RATE,
-    min_cells: int = 10,
-    snap: bool = True,
     pool_map=map,
 ) -> RegionEstimate:
     """Estimate the admissible (c1, c2) region from ball volumes.
@@ -324,15 +321,18 @@ def estimate_region(
     (d2 = A d1^theta and mirrored); per node the classification is by the worst
     decay rate of |B| / (d1^c1 d2^c2) over all radius paths:
 
-        outside       worst rate >= outside_rate (bits per halving of sweep)
-        inside        worst rate <= inside_rate and the infimum is positive
-        inconclusive  anything else, or resolution-limited volumes
+        outside       worst rate >= OUTSIDE_RATE (bits per halving of sweep)
+        inside        worst rate <= INSIDE_RATE and the infimum is positive
+        inconclusive  anything else, or resolution-limited volumes (some
+                      ball job has fewer than MIN_BALL_CELLS cells)
 
-    With ``snap`` the fitted volume rates are snapped to the integer-weight
-    lattice of polynomial models, which removes the small covering-inflation
-    drift of the raw fits.  Each unique ball job (z, d1, d2, h) runs once,
-    through ``pool_map(fn, jobs)``: the builtin ``map`` by default, or a
-    pooled map with the same result order.
+    Each ball runs on the lattice edge h = default_h_rule(d1, d2), and the
+    volume at a radius pair is the minimum over ``z_samples``.  The fitted
+    volume rates are snapped to the integer-weight lattice of polynomial
+    models (``RatioSequence.fit_rate``), which removes the small
+    covering-inflation drift of the raw fits.  Each unique ball job
+    (z, d1, d2, h) runs once, through ``pool_map(fn, jobs)``: the builtin
+    ``map`` by default, or a pooled map with the same result order.
     """
     if windows is None:
         windows = default_windows()
@@ -344,24 +344,18 @@ def estimate_region(
         c2_grid = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     c1_grid = np.asarray(c1_grid, dtype=float)
     c2_grid = np.asarray(c2_grid, dtype=float)
-    if h is None:
-        h_rule = default_h_rule
-    elif isinstance(h, (int, float)):
-        h_rule = lambda d1, d2: float(h)  # noqa: E731
-    else:
-        h_rule = h
 
     sequences = _region_sequences(windows, delta_grid)
     zkeys = [tuple(as_zarray(z, model.dim_z).tolist()) for z in z_samples]
     # plan[s][k]: the jobs of the k-th radius pair of sequences[s], one per z
     plan = [
-        [[(zk, d1, d2, h_rule(d1, d2)) for zk in zkeys] for d1, d2 in zip(seq.delta1, seq.delta2)]
+        [[(zk, d1, d2, default_h_rule(d1, d2)) for zk in zkeys] for d1, d2 in zip(seq.delta1, seq.delta2)]
         for seq in sequences
     ]
     jobs = list(dict.fromkeys(job for seq_plan in plan for point in seq_plan for job in point))
 
     def run(job):
-        ball = reach_ball(model, *job, tau=tau)
+        ball = reach_ball(model, *job)
         return ball.volume, ball.cells.n_cells
 
     results = dict(zip(jobs, pool_map(run, jobs)))
@@ -370,7 +364,7 @@ def estimate_region(
     for seq, seq_plan in zip(sequences, plan):
         for point in seq_plan:
             vols = [results[job] for job in point]
-            if any(n < min_cells for _, n in vols):
+            if any(n < MIN_BALL_CELLS for _, n in vols):
                 resolution_limited = True
             vals = [v for v, _ in vols]
             if max(vals) > 2.0 * min(vals):
@@ -384,7 +378,7 @@ def estimate_region(
         d1s = np.asarray(seq.delta1)
         d2s = np.asarray(seq.delta2)
         vols = np.asarray(seq.volumes)
-        vol_rate = seq.fit_rate(snap=snap)
+        vol_rate = seq.fit_rate()
         # decay rate of the node ratio along this path is linear in (c1, c2)
         rates = vol_rate - (c1_grid[:, None] * seq.e1 + c2_grid[None, :] * seq.e2)
         np.maximum(worst, rates, out=worst)
@@ -396,11 +390,11 @@ def estimate_region(
     for i in range(n1):
         for j in range(n2):
             rate = worst[i, j]
-            if rate >= outside_rate:
+            if rate >= OUTSIDE_RATE:
                 classification[i, j] = "outside"
             elif resolution_limited:
                 classification[i, j] = "inconclusive"
-            elif rate <= inside_rate and infimum[i, j] > 0:
+            elif rate <= INSIDE_RATE and infimum[i, j] > 0:
                 classification[i, j] = "inside"
             else:
                 classification[i, j] = "inconclusive"
@@ -427,9 +421,9 @@ def estimate_region(
             "windows": [(w.theta, w.bigA) for w in windows],
             "delta_grid": sorted(delta_grid, reverse=True),
             "z_samples": [list(z) for z in z_samples],
-            "inside_rate": inside_rate,
-            "outside_rate": outside_rate,
-            "snap": snap,
+            "inside_rate": INSIDE_RATE,
+            "outside_rate": OUTSIDE_RATE,
+            "snap": True,
             "raw_rates": [
                 {
                     "theta": s.window.theta,

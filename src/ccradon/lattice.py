@@ -57,6 +57,8 @@ def decode_keys(keys: np.ndarray, dim: int) -> np.ndarray:
 
 
 def points_to_cells(points: np.ndarray, h: float) -> np.ndarray:
+    """Cell index of each coordinate: floor(p / h + 1/2), the cell whose
+    center is nearest, with ties going to the upper cell."""
     return np.floor(np.asarray(points, dtype=float) / h + 0.5).astype(np.int64)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccball import BallEstimate
+from .ccball import BallEstimate, pi2_cells
 from .errors import ConfigError, DegenerateError, ResolutionError
 from .geometry import ModelFamily
 from .lattice import LatticeSet, encode_cells
@@ -320,9 +320,13 @@ def necessity_union(
     """Unions of x1-translated congruent balls with disjoint Pi projections.
 
     Translation invariance of the models makes translated balls exactly
-    congruent on the lattice, so disjointness and subadditivity certificates
-    are exact integer checks.  Returns one record per input ball with the
-    tested ratio |U| / (|pi1 U|^{1/p} ||chi_{pi2 U}||_{q', r'}).
+    congruent on the lattice, so the union U is the ball's cells tiled at
+    multiples of the spacing along x1.  Its projections are taken from U
+    itself: ``pi2_cells`` shifts by whole cells with x1 and no other
+    coordinate depends on x1, so they equal the unions of the shifted
+    projections.  Disjointness and subadditivity certificates are exact
+    integer checks.  Returns one record per input ball with the tested ratio
+    |U| / (|pi1 U|^{1/p} ||chi_{pi2 U}||_{q', r'}).
     """
     ip = 0.0 if p == math.inf else 1.0 / float(p)
     qc, rc = conjugate(float(q)), conjugate(float(r))
@@ -347,14 +351,15 @@ def necessity_union(
                 f"domain overflow: {want} translates at spacing {spacing} cells do not fit"
             )
         count = min(want, fit)
-        copies = [ball.translate_x1(k * spacing) for k in range(count)]
-        union_z = LatticeSet(h, np.concatenate([c.cells.cells for c in copies]))
-        union_p1 = LatticeSet(h, np.concatenate([c.proj1.cells for c in copies]))
-        union_p2 = LatticeSet(h, np.concatenate([c.proj2.cells for c in copies]))
-        all_cols = np.concatenate([c.pi_cols for c in copies])
-        disjoint = np.unique(all_cols).size == all_cols.size
-        if union_z.n_cells != count * ball.cells.n_cells:
-            disjoint = False
+        union_cells = np.tile(ball.cells.cells, (count, 1))
+        union_cells[:, 0] += np.repeat(np.arange(count, dtype=np.int64) * spacing, ball.cells.n_cells)
+        union_z = LatticeSet(h, union_cells)
+        union_p1 = union_z.project(range(model.d))
+        union_p2 = LatticeSet(h, pi2_cells(model, union_z.cells, h))
+        disjoint = (
+            union_z.n_cells == count * ball.cells.n_cells
+            and np.unique(union_p2.cells[:, 0]).size == count * ball.pi_cols.size
+        )
         norm = mixed_norm_indicator(union_p2, qc, rc)
         ratio = union_z.measure / (union_p1.measure ** ip * norm)
         records.append(
@@ -368,7 +373,7 @@ def necessity_union(
                 disjoint=bool(disjoint),
                 union_volume=union_z.measure,
                 proj1_measure=union_p1.measure,
-                proj1_subadditive=bool(union_p1.measure <= count * ball.proj1_measure + 1e-12),
+                proj1_subadditive=bool(union_p1.measure <= count * ball.proj1.measure + 1e-12),
                 norm=norm,
                 ratio=float(ratio),
             )

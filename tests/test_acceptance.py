@@ -187,23 +187,40 @@ def test_criterion_03_companion_adapted_resolution(volume_law_literal):
 
 
 def test_criterion_04_lemma_suite(lemma_sweep):
-    with criterion(4, "ball-fact ratios (i)-(v) inside frozen bands at h and h/2"):
+    with criterion(4, "ball-fact ratios (i)-(v) inside frozen bands at h and h/2") as notes:
+        measured = {key: [] for key in calibration.LEMMA_BANDS}
+        outside = []
         for row in lemma_sweep:
             for rep in (row["rep_h"], row["rep_h2"]):
                 for key, val in rep["ratios"].items():
                     lo, hi = calibration.LEMMA_BANDS[key]
-                    assert lo <= val <= hi, (key, row["theta"], row["d1"], rep["h"], val)
+                    measured[key].append(val)
+                    if not lo <= val <= hi:
+                        outside.append((key, row["theta"], row["d1"], rep["h"], val))
+        notes += [f"{key} {min(vals):.4g}..{max(vals):.4g} in {list(calibration.LEMMA_BANDS[key])}"
+                  for key, vals in measured.items()]
+        assert not outside, outside
 
 
 def test_criterion_05_slab_profile(lemma_sweep):
-    with criterion(5, "slab profile sums to |B|; max f <= C |B| / delta1 with frozen C"):
+    with criterion(5, "slab profile sums to |B|; max f <= C |B| / delta1 with frozen C") as notes:
+        sum_errors, slab_consts, failures = [], [], []
         for row in lemma_sweep:
             ball = row["ball"]
             profile = slab_profile(ball)
             total = sum(f for _, f in profile) * ball.h
-            assert total == pytest.approx(ball.volume, abs=2 * ball.h ** ball.cells.dim + 1e-12)
             fmax = max(f for _, f in profile)
-            assert fmax <= calibration.SLAB_MAX_F_CONST * ball.volume / ball.delta1
+            tol = 2 * ball.h ** ball.cells.dim + 1e-12
+            sum_errors.append(abs(total - ball.volume) / tol)
+            slab_consts.append(fmax * ball.delta1 / ball.volume)
+            if total != pytest.approx(ball.volume, abs=tol):
+                failures.append(("sum", row["theta"], row["d1"], total, ball.volume))
+            if not fmax <= calibration.SLAB_MAX_F_CONST * ball.volume / ball.delta1:
+                failures.append(("max f", row["theta"], row["d1"], fmax, ball.volume / ball.delta1))
+        notes += [f"|sum f h - |B|| / tol max {max(sum_errors):.3g} <= 1",
+                  f"max f delta1 / |B| {min(slab_consts):.4f}..{max(slab_consts):.4f} "
+                  f"<= {calibration.SLAB_MAX_F_CONST}"]
+        assert not failures, failures
 
 
 def test_criterion_06_mixed_norms():

@@ -98,12 +98,18 @@ class TestReachBall:
         assert ball.truncated
 
     def test_translate_congruence(self, parabola):
+        # the fields do not depend on x, so moving the centre by whole cells
+        # along x1 adds that many to the x1 index of every cell of the ball
+        # and of both projections; necessity_union tiles balls on this
         d = 2.0 ** -4
         h = d / 8
         a = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, h)
         b = reach_ball(parabola, (32 * h, 0.0, 0.0), d, d, h)
-        moved = a.translate_x1(32)
-        assert np.array_equal(moved.cells.cells, b.cells.cells)
+        for near, far in ((a.cells, b.cells), (a.proj1, b.proj1), (a.proj2, b.proj2)):
+            moved = near.cells.copy()
+            moved[:, 0] += 32
+            assert np.array_equal(moved, far.cells)
+        assert np.array_equal(a.pi_cols + 32, b.pi_cols)
 
     def test_higher_dimensional_model(self, cubic):
         # d = 3: the incidence lattice has four axes; extents follow the radii
@@ -275,8 +281,9 @@ class TestLemmaReport:
             )
 
     def test_resolution_error_on_tiny_projection(self, parabola):
-        with pytest.raises(ResolutionError):
-            lemma_balls_report(parabola, (0.0, 0.0, 0.0), 2.0 ** -4, 2.0 ** -4, 3.0, 3.0, 2.0 ** -6, min_proj_cells=10_000)
+        # the coarsest lattice the radii admit (h = min / 4) leaves 9 proj1 cells
+        with pytest.raises(ResolutionError, match=r"proj1 of the ball has 9 cells \(< MIN_PROJ_CELLS = 10\)"):
+            lemma_balls_report(parabola, (0.0, 0.0, 0.0), 2.0 ** -4, 2.0 ** -4, 3.0, 3.0, 2.0 ** -6)
 
 
 def test_default_tau_strides():

@@ -81,6 +81,17 @@ class TestBallCommand:
         assert "parameters.mc.steps" in result.output
         assert not (out / "ball_report.json").exists()
 
+    def test_tau_rejected(self, runner, tmp_path):
+        bad = json.loads(json.dumps(BALL_SCENARIO))
+        bad["parameters"]["tau"] = 0.01
+        scen = write_scenario(tmp_path, bad)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "parameters.tau" in result.output
+        assert "default_tau" in result.output
+        assert not (out / "ball_report.json").exists()
+
     def test_resolution_exit_code(self, runner, tmp_path):
         bad = json.loads(json.dumps(BALL_SCENARIO))
         bad["parameters"]["h"] = 0.0625

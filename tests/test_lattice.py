@@ -97,9 +97,7 @@ def test_cells_in_key_order_x1_major(rng, parabola):
     sets = [a, b, c3, a.union(b), a.intersection(b), a.difference(b), b.difference(a),
             c3.project([2, 0]), c3.project([0, 1]), b.dilate(2)]
     ball = reach_ball(parabola, (0.0, 0.0, 0.0), 2.0 ** -4, 2.0 ** -4, 2.0 ** -7)
-    for shift in (-9, 13):
-        moved = ball.translate_x1(shift)
-        sets += [moved.cells, moved.proj1, moved.proj2]
+    sets += [ball.cells, ball.proj1, ball.proj2]
     for ls in sets:
         assert ls.n_cells > 1
         assert_ordered(ls)

@@ -11,7 +11,9 @@ from ccradon.calibration import PAIRING_BAND
 from ccradon.ccball import reach_ball
 from ccradon.errors import ConfigError, DegenerateError, ResolutionError
 from ccradon.geometry import ModelFamily
+from ccradon.exponents import default_h_rule
 from ccradon.lattice import LatticeSet
+from ccradon.mixednorm import conjugate, mixed_norm_indicator
 from ccradon.radon import (
     apply_T,
     apply_Tstar,
@@ -370,7 +372,57 @@ class TestSuperlevel:
         assert 0.25 <= ratio <= 4.0
 
 
+def reference_necessity_union(model, balls, p, q, r, n_translates=None):
+    """The per-copy union: each translate's cells, projections and Pi columns
+    are shifted along x1 on their own and then joined.  Same spacing and
+    count rules as ``necessity_union``; no range checks."""
+    ip = 0.0 if p == math.inf else 1.0 / float(p)
+    qc, rc = conjugate(float(q)), conjugate(float(r))
+    records = []
+    for n, ball in enumerate(balls):
+        h = ball.h
+        spacing = int(ball.pi_cols.max() - ball.pi_cols.min()) + 2
+        idx_hi = int(math.floor(model.domain[0][1] / h + 0.5)) - 1
+        fit = 1 + (idx_hi - int(ball.cells.cells[:, 0].max())) // spacing
+        want = n_translates if n_translates is not None else max(2, int(1.0 / ball.delta1))
+        count = min(want, fit)
+
+        def union(cells):
+            copies = []
+            for k in range(count):
+                moved = cells.copy()
+                moved[:, 0] += k * spacing
+                copies.append(moved)
+            return LatticeSet(h, np.concatenate(copies))
+
+        union_z, union_p1, union_p2 = union(ball.cells.cells), union(ball.proj1.cells), union(ball.proj2.cells)
+        all_cols = np.concatenate([ball.pi_cols + k * spacing for k in range(count)])
+        disjoint = np.unique(all_cols).size == all_cols.size and union_z.n_cells == count * ball.cells.n_cells
+        norm = mixed_norm_indicator(union_p2, qc, rc)
+        records.append(radon.NecessityRecord(
+            n=n, delta1=ball.delta1, delta2=ball.delta2, h=h, n_translates=count, spacing_cells=spacing,
+            disjoint=bool(disjoint), union_volume=union_z.measure, proj1_measure=union_p1.measure,
+            proj1_subadditive=bool(union_p1.measure <= count * ball.proj1.measure + 1e-12),
+            norm=norm, ratio=float(union_z.measure / (union_p1.measure ** ip * norm)),
+        ))
+    return records
+
+
 class TestNecessity:
+    def test_union_matches_per_copy_reference(self, parabola, cubic):
+        # the union is tiled once and projected, instead of shifting each
+        # copy's projections: the records must agree to the bit
+        balls = [reach_ball(parabola, (-0.8, 0.0, 0.0), d, d, default_h_rule(d, d))
+                 for d in (2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6)]
+        assert necessity_union(parabola, balls, 1.15, 1, math.inf) == \
+            reference_necessity_union(parabola, balls, 1.15, 1, math.inf)
+        d = 2.0 ** -3
+        ball = reach_ball(cubic, (-0.7, 0.0, 0.0, 0.0), d, d, d / 8)
+        for n_translates in (None, 3):
+            got = necessity_union(cubic, [ball], 2.0, 1.5, 4.0, n_translates=n_translates)
+            assert got == reference_necessity_union(cubic, [ball], 2.0, 1.5, 4.0, n_translates=n_translates)
+            assert got[0].disjoint and got[0].n_translates >= 3
+
     def test_certificates_and_growth(self, parabola):
         p, q, r = 1.25, 1.0, math.inf
         balls = []
