@@ -10,8 +10,8 @@ from ccradon import radon
 from ccradon.calibration import PAIRING_BAND
 from ccradon.ccball import reach_ball
 from ccradon.errors import ConfigError, DegenerateError, ResolutionError
-from ccradon.geometry import ModelFamily
 from ccradon.exponents import default_h_rule
+from ccradon.geometry import ModelFamily
 from ccradon.lattice import LatticeSet
 from ccradon.mixednorm import conjugate, mixed_norm_indicator
 from ccradon.radon import (
