@@ -1,17 +1,20 @@
 """Record the benchmark's end-to-end metrics into a BENCH_<pr>.json trail file.
 
-    python3 scripts/bench_record.py --out BENCH_7.json --label change
-    python3 scripts/bench_record.py --out BENCH_7.json --label parent --root ../parent-checkout
+    python3 scripts/bench_record.py --out BENCH_11.json --parent ../parent-checkout
+    python3 scripts/bench_record.py --out BENCH_11.json
 
-Runs the unchanged ``perfbench/run.py --trace 0`` of the checkout at
-``--root`` (default: this repository) for every workload on seeds 500-502,
-with the run length that ``BENCHMARK.json`` sets.  Each run's metrics,
-operation counts and sha256 lines go under ``results[label]`` of the output
-file, next to the checkout's git sha, Python and numpy versions and
-``nproc``; per workload and metric it stores the median over seeds and the
-spread (max - min).  Labels already in the file are kept, so a parent and a
-change recorded on the same machine sit side by side; once both exist the
-file also gets their median ratios and whether every sha256 line matches.
+Runs the unchanged ``perfbench/run.py --trace 0`` for every workload on seeds
+500-502, with the run length that ``BENCHMARK.json`` sets, in the change
+checkout (``--root``, default: this repository) and, with ``--parent``, in
+the parent checkout too.  The two sides alternate per seed as in
+``bench_pairs.py``: the parent first on even seeds and the change first on
+odd ones, so host drift during the recording falls on both sides alike.
+Each run's metrics, operation counts and sha256 lines go under
+``results["parent"]`` or ``results["change"]`` of the output file, next to
+the checkout's git sha, Python and numpy versions and ``nproc``; per workload
+and metric it stores the median over seeds and the spread (max - min).
+Labels already in the file are kept; once both exist the file also gets
+their median ratios and whether every sha256 line matches.
 """
 from __future__ import annotations
 
@@ -74,24 +77,8 @@ def _compare(parent: dict, change: dict) -> dict:
     return out
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--root", type=Path, default=REPO, help="checkout to benchmark (default: this repository)")
-    args = ap.parse_args()
-    root = args.root.resolve()
-    bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
-    workloads = {}
-    for w in bench["workloads"]:
-        runs = []
-        for seed in SEEDS:
-            runs.append(run_once(root, w["name"], seed, seconds))
-            print(f"{args.label} {w['name']} seed {seed}: " + ", ".join(
-                f"{k} {v:.4g}" for k, v in runs[-1]["metrics"].items()), flush=True)
-        workloads[w["name"]] = {"summary": _summary(runs), "runs": runs}
-    record = {
+def _record(root: Path, seconds: float, workloads: dict) -> dict:
+    return {
         "git_sha": _git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
@@ -101,8 +88,32 @@ def main() -> int:
         "seeds": list(SEEDS),
         "workloads": workloads,
     }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--root", type=Path, default=REPO, help="checkout of the change (default: this repository)")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit, recorded interleaved with the change")
+    args = ap.parse_args()
+    roots = {"change": args.root.resolve()}
+    if args.parent is not None:
+        roots = {"parent": args.parent.resolve(), **roots}
+    bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = {label: {} for label in roots}
+    for w in bench["workloads"]:
+        runs = {label: [] for label in roots}
+        for i, seed in enumerate(SEEDS):
+            for label in (roots if i % 2 == 0 else reversed(roots)):
+                runs[label].append(run_once(roots[label], w["name"], seed, seconds))
+                print(f"{label} {w['name']} seed {seed}: " + ", ".join(
+                    f"{k} {v:.4g}" for k, v in runs[label][-1]["metrics"].items()), flush=True)
+        for label, label_runs in runs.items():
+            workloads[label][w["name"]] = {"summary": _summary(label_runs), "runs": label_runs}
     trail = json.loads(args.out.read_text()) if args.out.exists() else {}
-    trail.setdefault("results", {})[args.label] = record
+    for label, root in roots.items():
+        trail.setdefault("results", {})[label] = _record(root, seconds, workloads[label])
     if {"parent", "change"} <= trail["results"].keys():
         trail["comparison"] = _compare(trail["results"]["parent"], trail["results"]["change"])
     args.out.write_text(json.dumps(trail, indent=2, sort_keys=True) + "\n")

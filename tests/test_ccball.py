@@ -14,6 +14,7 @@ from ccradon.ccball import (
     lemma_balls_report,
     mc_ball,
     reach_ball,
+    reach_balls,
     slab_profile,
 )
 from ccradon.errors import ChartDomainError, ConfigError, ResolutionError
@@ -200,17 +201,65 @@ def test_diagnostics_count_the_fixpoint(parabola):
     assert (inside.active_per_round > 0).all()
 
 
+def _assert_same_ball(got, want):
+    assert got.center == want.center
+    assert np.array_equal(got.cells.cells, want.cells.cells), got.center
+    for name in ("active_per_round", "new_cells_per_round", "dropped_per_round"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (got.center, name)
+    assert got.truncated == want.truncated
+
+
 def test_round_chunks_do_not_change_the_ball(parabola, monkeypatch):
-    # a round steps and keys active points in chunks; ragged chunks, and
-    # chunks where the chart drops points, give the same cells and counts
-    for z0 in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.9)):
-        whole = reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5)
-        with monkeypatch.context() as patch:
-            patch.setattr(ccball, "ROUND_CHUNK", 7)
-            chunked = reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5)
-        assert np.array_equal(whole.cells.cells, chunked.cells.cells), z0
-        for name in ("active_per_round", "new_cells_per_round", "dropped_per_round"):
-            assert np.array_equal(getattr(whole, name), getattr(chunked, name)), (z0, name)
+    # a round steps and keys active points in chunks; ragged chunks, chunks
+    # where the chart drops points and chunks that straddle two jobs of a
+    # batch give the same cells and counts
+    centers = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.9))
+    whole = [reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5) for z0 in centers]
+    with monkeypatch.context() as patch:
+        patch.setattr(ccball, "ROUND_CHUNK", 7)
+        chunked = [reach_ball(parabola, z0, 0.125, 0.125, 2.0 ** -5) for z0 in centers]
+        batched = reach_balls(parabola, centers, 0.125, 0.125, 2.0 ** -5)
+    for want, got, got_batched in zip(whole, chunked, batched):
+        _assert_same_ball(got, want)
+        _assert_same_ball(got_batched, want)
+
+
+BATCHES = (
+    # the first and last parabola centres leave the chart (truncated balls)
+    ("parabola", ((0.5, 0.5, 0.6), (0.0, 0.0, 0.0), (-0.9, 0.9, -0.9)), 0.25, 0.7071, 2.0 ** -5),
+    ("quartic", ((0.1, 0.0, 0.2), (0.0, 0.0, 0.0), (-0.5, 0.3, 0.1)), 2.0 ** -3, 2.0 ** -4, 2.0 ** -7),
+    ("cubic", ((0.0, 0.0, 0.0, 0.0), (0.7, 0.1, 0.0, 0.8), (-0.2, 0.1, 0.1, -0.3)), 2.0 ** -3, 2.0 ** -3, 2.0 ** -6),
+)
+
+
+@pytest.mark.parametrize("name, centers, d1, d2, h", BATCHES, ids=[b[0] for b in BATCHES])
+def test_reach_balls_equal_per_centre_runs(models, name, centers, d1, d2, h):
+    balls = reach_balls(models[name], centers, d1, d2, h)
+    assert len(balls) == len(centers)
+    for z0, ball in zip(centers, balls):
+        _assert_same_ball(ball, reach_ball(models[name], z0, d1, d2, h))
+    if name == "parabola":
+        assert [ball.truncated for ball in balls] == [True, False, True]
+
+
+def test_reach_balls_split_into_batches(parabola, monkeypatch):
+    # nine centres run as two fixpoints, of MAX_BATCH = 8 jobs and of 1
+    centers = [(0.1 * k - 0.4, 0.05 * k, 0.0) for k in range(9)]
+    sizes = []
+    expand = ccball._expand
+
+    def counting_expand(model, active, job, a1, a2, tau, z0s, h_rep):
+        sizes.append(z0s.shape[1])
+        return expand(model, active, job, a1, a2, tau, z0s, h_rep)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ccball, "_expand", counting_expand)
+        balls = reach_balls(parabola, centers, 2.0 ** -4, 2.0 ** -4, 2.0 ** -6)
+    rounds = balls[0].rounds
+    assert ccball.MAX_BATCH == 8
+    assert sizes == [8] * rounds + [1] * rounds
+    for z0, ball in zip(centers, balls):
+        _assert_same_ball(ball, reach_ball(parabola, z0, 2.0 ** -4, 2.0 ** -4, 2.0 ** -6))
 
 
 def test_packing_limit_named_by_reach_ball(models):

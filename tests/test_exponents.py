@@ -144,8 +144,9 @@ class TestRegionStructure:
 
         reg = estimate_region(parabola, pool_map=counting_map, **kwargs)
         # both orientations of the theta = 1 window share the radii, and the
-        # int and float centres share one key: one job per radius
-        assert planned == [((0.0, 0.0, 0.0), d, d, default_h_rule(d, d)) for d in grid]
+        # int and float centres share one key: one batched job per radius,
+        # holding the one de-duplicated centre
+        assert planned == [(((0.0, 0.0, 0.0),), d, d, default_h_rule(d, d)) for d in grid]
         ref = estimate_region(parabola, **kwargs)
         assert len(reg.sequences) == 2
         np.testing.assert_array_equal(reg.infimum, ref.infimum)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ccradon.ccball import reach_ball
+from ccradon.ccball import JOB_SHIFT, reach_ball
 from ccradon.errors import ConfigError, DegenerateError
-from ccradon.lattice import LatticeSet, decode_keys, encode_cells, points_to_cells
+from ccradon.lattice import LatticeSet, _packing, decode_keys, encode_cells, points_to_cells
 
 
 def test_encode_decode_roundtrip(rng):
@@ -21,6 +21,18 @@ def test_encode_rejects_large_indices():
     encode_cells(np.array([[(1 << 14) - 1, 0, 0, 0]]))
     with pytest.raises(ConfigError, match=r"4-axis lattice keys need \|index\| < 2\^14, got max \|index\| 16384"):
         encode_cells(np.array([[0, 0, 1 << 14, 0]]))
+
+
+def test_keys_leave_the_job_bits_free():
+    # a batched reach_balls fixpoint keeps its job index in key bits 60-62,
+    # so no supported lattice may pack a cell key past bit 59
+    for dim in (1, 2, 3, 4):
+        offset, stride = _packing(dim)
+        assert stride ** dim <= 1 << JOB_SHIFT, dim
+        worst = encode_cells(np.array([[offset - 1] * dim]))
+        assert 0 <= int(worst[0]) < 1 << JOB_SHIFT
+    with pytest.raises(ConfigError, match="dim <= 4"):
+        _packing(5)
 
 
 def test_points_to_cells_centered():
