@@ -183,7 +183,8 @@ def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau
             h_rep: float) -> tuple:
     """One round's candidate pool: every active point stepped under every control.
 
-    ``job`` is each active point's column of ``z0s``, the batch's centres.
+    ``job`` is each active point's column of ``z0s``, the batch's centres,
+    in ascending order.
     Returns the pool as column storage (d+1, m n), control-major, with each
     point's refined-cell key (its job index in bits ``JOB_SHIFT`` and up),
     squared distance to its centre and chart mask.  The work runs on chunks
@@ -200,13 +201,15 @@ def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau
         cols = slice(lo, lo + ROUND_CHUNK)
         block = rk4_many(model, active[:, cols], a1, a2, tau)
         pool[:, :, cols] = block
-        centres = z0s[:, job[cols]]
+        jobs = job[cols]
+        # actives are stored job by job, so most chunks subtract one centre column
+        centres = z0s.take(jobs[:1] if jobs[0] == jobs[-1] else jobs, axis=1)
         ok = model.contains(block)
         inside[:, cols] = ok
         if not ok.all():
             block = np.where(ok, block, centres[:, None, :])
         keys[:, cols] = encode_cells(points_to_cells(block, h_rep).reshape(dim, -1).T).reshape(m, -1)
-        keys[:, cols] |= job[cols] << JOB_SHIFT
+        keys[:, cols] |= jobs << JOB_SHIFT
         # summed left to right, as np.sum over a row of coordinates does
         for coord, c0 in zip(block, centres):
             dx = coord - c0
@@ -268,17 +271,17 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
             job = rep_keys[pick] >> JOB_SHIFT
             active = pool[:, pick]
             del pool, rep_keys, dist, inside
-            keys = np.unique(encode_cells(points_to_cells(active, h).T) | (job << JOB_SHIFT))
-            at = np.searchsorted(visited, keys)
-            fresh = visited.take(at, mode="clip") != keys
-            visited = np.insert(visited, at[fresh], keys[fresh])
-            new_cells = np.bincount(keys[fresh] >> JOB_SHIFT, minlength=n_jobs)
+            # look the cell keys up in visited and merge in only the new ones
+            keys = encode_cells(points_to_cells(active, h).T) | (job << JOB_SHIFT)
+            fresh = np.unique(keys[visited.take(np.searchsorted(visited, keys), mode="clip") != keys])
+            visited = np.sort(np.concatenate((visited, fresh)), kind="stable")  # a merge of two sorted runs
+            new_cells = np.bincount(fresh >> JOB_SHIFT, minlength=n_jobs)
             stats.append((np.bincount(job, minlength=n_jobs), new_cells, dropped))
         stats = np.array(stats, dtype=np.int64)
-        starts = np.searchsorted(visited, np.arange(1, n_jobs, dtype=np.int64) << JOB_SHIFT)
-        for j, keys in enumerate(np.split(visited, starts)):
+        ends = np.searchsorted(visited, np.arange(1, n_jobs, dtype=np.int64) << JOB_SHIFT).tolist() + [visited.size]
+        for j, (start, end) in enumerate(zip([0] + ends, ends)):
             balls.append(_ball_from_cells(model, model.name, batch[:, j], delta1, delta2, h, tau, rounds,
-                                          keys - (j << JOB_SHIFT), stats[:, :, j]))
+                                          visited[start:end] - (j << JOB_SHIFT), stats[:, :, j]))
     return balls
 
 
