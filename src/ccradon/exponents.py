@@ -351,7 +351,9 @@ def estimate_region(
     sequences = _region_sequences(windows, delta_grid)
     zkeys = [tuple(as_zarray(z, model.dim_z).tolist()) for z in z_samples]
     centres = list(dict.fromkeys(zkeys))
-    radii = dict.fromkeys((d1, d2, default_h_rule(d1, d2)) for seq in sequences for d1, d2 in zip(seq.delta1, seq.delta2))
+    radii = dict.fromkeys(
+        (d1, d2, default_h_rule(d1, d2)) for seq in sequences for d1, d2 in zip(seq.delta1, seq.delta2)
+    )
     # one job per radius triple and batch of at most MAX_BATCH unique centres
     jobs = [(tuple(centres[lo:lo + MAX_BATCH]), *r) for r in radii for lo in range(0, len(centres), MAX_BATCH)]
 
