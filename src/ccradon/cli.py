@@ -63,7 +63,7 @@ def _sanitize(obj):
     return obj
 
 
-def _write_report(out_dir: Path, name: str, report: dict, diagnostics: dict | None = None):
+def _write_report(out_dir: Path, name: str, report: dict, diagnostics: dict | None):
     """Write the report and its ``meta.json`` sidecar; run diagnostics go to the sidecar only."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
@@ -94,10 +94,6 @@ def _load_scenario(path: str) -> dict:
         raise click.UsageError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"scenario file is not valid JSON: {exc}")
-
-
-def _resolve_model(scenario):
-    return load_model(_require(scenario, "model", "model"))
 
 
 def _parse_set(spec, h: float, dim: int) -> LatticeSet:
@@ -144,9 +140,7 @@ def _ball_pairs_sweep(model, deltas, h_rule, p, q, r, threads):
 # Command implementations (shared by the CLI and tests)
 # --------------------------------------------------------------------------
 
-def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_ball(model, params: dict, out_dir: Path, seed, threads: int):
     h = _require(params, "h", "parameters.h")
     d1 = _require(params, "delta1", "parameters.delta1")
     d2 = _require(params, "delta2", "parameters.delta2")
@@ -156,7 +150,7 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
     if "tau" in params:
         raise click.UsageError("parameters.tau is not supported: reach_ball takes its round length from default_tau(delta1, delta2, h)")
     ball = reach_ball(model, center, d1, d2, h)
-    report = {"command": "ball", "parameters": _sanitize(params), "model": model.to_json_dict(), "ball": ball.to_report(), "passed": True}
+    fields = {"model": model.to_json_dict(), "ball": ball.to_report()}
     if "mc" in params:
         if seed is None:
             raise click.UsageError("scenario missing required field 'seed' (stochastic run)")
@@ -171,24 +165,20 @@ def run_ball(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
         )
         lo, hi = calibration.MC_AGREEMENT_BAND
         agreement = mc.volume / ball.volume if ball.volume > 0 else math.inf
-        report["mc"] = {
+        fields["mc"] = {
             "volume": mc.volume,
             "paths": mc.n_paths,
             "escaped": mc.n_escaped,
             "agreement": agreement,
             "band": [lo, hi],
         }
-        report["passed"] = bool(lo <= agreement <= hi)
-        if not report["passed"]:
-            report["failures"] = [f"mc_agreement={agreement:.4g} outside [{lo}, {hi}]"]
+        if not lo <= agreement <= hi:
+            fields["failures"] = [f"mc_agreement={agreement:.4g} outside [{lo}, {hi}]"]
     _write_csv(out_dir, "slab_profile.csv", ["t", "f"], slab_profile(ball))
-    _write_report(out_dir, "ball_report.json", report, diagnostics=ball.diagnostics())
-    return report
+    return fields, ball.diagnostics()
 
 
-def run_lemma_check(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_lemma_check(model, params: dict, out_dir: Path, seed, threads: int):
     q = float(_parse_exponent(_require(params, "q", "parameters.q")))
     r = float(_parse_exponent(_require(params, "r", "parameters.r")))
     p = float(_parse_exponent(params["p"])) if "p" in params else None
@@ -217,28 +207,17 @@ def run_lemma_check(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
 
     reports = _pool_map(one, jobs, threads)
     rows = []
-    passed = True
     failures = []
     for rep in reports:
         for key, val in rep["ratios"].items():
             lo, hi = calibration.LEMMA_BANDS[key]
             ok = lo <= val <= hi
-            passed &= ok
             if not ok:
                 failures.append(f"ratio {key}={val:.4g} at theta={rep['theta']} d1={rep['delta1']:g} h={rep['h']:g}")
             rows.append([rep["theta"], rep["delta1"], rep["delta2"], rep["h"], key, val, lo, hi, int(ok)])
     _write_csv(out_dir, "lemma_ratios.csv",
                ["theta", "delta1", "delta2", "h", "ratio", "value", "band_lo", "band_hi", "ok"], rows)
-    report = {
-        "command": "lemma-check",
-        "parameters": _sanitize(params),
-        "bands": calibration.LEMMA_BANDS,
-        "results": reports,
-        "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "lemma_report.json", report)
-    return report
+    return {"bands": calibration.LEMMA_BANDS, "results": reports, "failures": failures}, None
 
 
 def _region_from_params(model, params, threads):
@@ -259,74 +238,44 @@ def _region_from_params(model, params, threads):
     )
 
 
-def run_region(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = scenario.get("parameters", {})
+def run_region(model, params: dict, out_dir: Path, seed, threads: int):
     region = _region_from_params(model, params, threads)
     rows = [[r["c1"], r["c2"], r["infimum"], r["worst_rate"], r["label"]] for r in region.to_rows()]
     _write_csv(out_dir, "region.csv", ["c1", "c2", "infimum", "worst_rate", "label"], rows)
-    passed = True
     checks = []
     failures = []
     for expect in params.get("expect", []):
         got = region.label_at(expect["c1"], expect["c2"])
         ok = got == expect["label"]
-        passed &= ok
         if not ok:
             failures.append(f"node ({expect['c1']}, {expect['c2']}): want {expect['label']}, got {got}")
         checks.append({"c1": expect["c1"], "c2": expect["c2"], "want": expect["label"], "got": got, "ok": ok})
-    report = {
-        "command": "region",
-        "parameters": _sanitize(params),
-        "meta": _sanitize(region.meta),
-        "checks": checks,
-        "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "region_report.json", report)
-    return report
+    return {"meta": _sanitize(region.meta), "checks": checks, "failures": failures}, None
 
 
-def run_classify(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
     triples = _require(params, "triples", "parameters.triples")
     margin = params.get("margin", 0.1)
     region = _region_from_params(model, params, threads)
     results = []
-    passed = True
     failures = []
     for entry in triples:
         trip = tuple(_parse_exponent(v) for v in entry["triple"])
+        expect = entry.get("expect")
         try:
             label = classify_triple(trip, region, margin=margin)
+            outcome = {"ok": expect in (None, label)}
         except OrderingError as exc:
             label = "ordering-error"
-            if entry.get("expect") not in (None, "ordering-error"):
-                passed = False
-            results.append({"triple": [str(t) for t in trip], "label": label, "detail": str(exc)})
-            continue
-        ok = entry.get("expect") is None or entry["expect"] == label
-        passed &= ok
-        if not ok:
-            failures.append(f"triple {trip}: want {entry['expect']}, got {label}")
-        results.append({"triple": [str(t) for t in trip], "label": label, "ok": ok})
-    report = {
-        "command": "classify",
-        "parameters": _sanitize(params),
-        "resolved": {"margin": margin},
-        "meta": _sanitize(region.meta),
-        "results": results,
-        "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "classify_report.json", report)
-    return report
+            outcome = {"detail": str(exc)}
+        results.append({"triple": [str(t) for t in trip], "label": label, **outcome})
+        if expect not in (None, label):
+            failures.append(f"triple {trip}: want {expect}, got {label}")
+    return {"resolved": {"margin": margin}, "meta": _sanitize(region.meta), "results": results,
+            "failures": failures}, None
 
 
-def run_test_inequality(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):
     p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
     h_rule = _h_rule(params)
@@ -340,31 +289,16 @@ def run_test_inequality(scenario: dict, out_dir: Path, seed, threads: int) -> di
         verdict = "growing"
     else:
         verdict = "indeterminate"
-    passed = True
     failures = []
     expect = params.get("expect")
-    if expect is not None:
-        passed = expect == verdict
-        if not passed:
-            failures.append(f"verdict {verdict} (mean halving factor {mean_factor:.3g}), expected {expect}")
+    if expect not in (None, verdict):
+        failures.append(f"verdict {verdict} (mean halving factor {mean_factor:.3g}), expected {expect}")
     _write_csv(out_dir, "inequality_sweep.csv", ["delta", "h", "ratio"],
                [[s["delta"], s["h"], s["ratio"]] for s in sweep])
-    report = {
-        "command": "test-inequality",
-        "parameters": _sanitize(params),
-        "sweep": sweep,
-        "mean_halving_factor": mean_factor,
-        "verdict": verdict,
-        "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "inequality_report.json", report)
-    return report
+    return {"sweep": sweep, "mean_halving_factor": mean_factor, "verdict": verdict, "failures": failures}, None
 
 
-def run_necessity(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_necessity(model, params: dict, out_dir: Path, seed, threads: int):
     p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
     h_rule = _h_rule(params)
@@ -375,36 +309,21 @@ def run_necessity(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
 
     balls = _pool_map(one, [tuple(d) for d in deltas], threads)
     records = necessity_union(model, balls, p, q, r, n_translates=params.get("n_translates"))
-    failures = [
-        f"certificates failed at n={rec.n}" for rec in records
-        if not (rec.disjoint and rec.proj1_subadditive)
-    ]
     growth = []
     for i in range(len(records) - 2):
         growth.append(records[i + 2].ratio / records[i].ratio)
+    failures = []
     if params.get("expect_growth", False):
         failures.extend(
             f"growth {g:.3g} < 2 from n={i} to n={i + 2}" for i, g in enumerate(growth) if g < 2.0
         )
-    passed = not failures
     _write_csv(out_dir, "necessity.csv",
-               ["n", "delta1", "delta2", "n_translates", "ratio", "disjoint"],
-               [[rec.n, rec.delta1, rec.delta2, rec.n_translates, rec.ratio, int(rec.disjoint)] for rec in records])
-    report = {
-        "command": "necessity",
-        "parameters": _sanitize(params),
-        "records": [vars(rec) for rec in records],
-        "growth_n_plus_2": growth,
-        "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "necessity_report.json", report)
-    return report
+               ["n", "delta1", "delta2", "n_translates", "ratio"],
+               [[rec.n, rec.delta1, rec.delta2, rec.n_translates, rec.ratio] for rec in records])
+    return {"records": [vars(rec) for rec in records], "growth_n_plus_2": growth, "failures": failures}, None
 
 
-def run_decompose(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
-    model = _resolve_model(scenario)
-    params = _require(scenario, "parameters", "parameters")
+def run_decompose(model, params: dict, out_dir: Path, seed, threads: int):
     h = _require(params, "h", "parameters.h")
     beta = _require(params, "beta", "parameters.beta")
     F = _parse_set(_require(params, "F", "parameters.F"), h, model.d)
@@ -413,9 +332,7 @@ def run_decompose(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
     C = params.get("C", 4.0)
     sl = superlevel_set(model, F, beta)
     if sl.is_empty:
-        report = {"command": "decompose", "parameters": _sanitize(params), "empty": True, "passed": True}
-        _write_report(out_dir, "decompose_report.json", report)
-        return report
+        return {"empty": True}, None
     fibs = to_pi_fibers(sl)
     strat = stratify(fibs, eta=eta, c_eta=c_eta)
     part = partition(model, fibs, strat, F, C=C)
@@ -437,10 +354,7 @@ def run_decompose(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
     ]
     if not wb_ok:
         failures.append(f"width bound exceeded (worst {wb_worst:.3g})")
-    passed = not failures
-    report = {
-        "command": "decompose",
-        "parameters": _sanitize(params),
+    return {
         "resolved": {"h": h, "beta": beta, "eta": eta, "c_eta": c_eta, "C": C},
         "superlevel_cells": sl.E.n_cells,
         "strata": strata_rows,
@@ -448,30 +362,40 @@ def run_decompose(scenario: dict, out_dir: Path, seed, threads: int) -> dict:
         "partition_verdicts": _sanitize(part.verdicts),
         "widthbound_worst": wb_worst,
         "failures": failures,
-        "passed": bool(passed),
-    }
-    _write_report(out_dir, "decompose_report.json", report)
-    return report
+    }, None
 
 
+# command -> (runner, report file).  A runner writes its CSVs and returns its
+# report fields, ``failures`` among them, and the meta.json diagnostics.
 _RUNNERS = {
-    "ball": run_ball,
-    "lemma-check": run_lemma_check,
-    "region": run_region,
-    "classify": run_classify,
-    "test-inequality": run_test_inequality,
-    "necessity": run_necessity,
-    "decompose": run_decompose,
+    "ball": (run_ball, "ball_report.json"),
+    "lemma-check": (run_lemma_check, "lemma_report.json"),
+    "region": (run_region, "region_report.json"),
+    "classify": (run_classify, "classify_report.json"),
+    "test-inequality": (run_test_inequality, "inequality_report.json"),
+    "necessity": (run_necessity, "necessity_report.json"),
+    "decompose": (run_decompose, "decompose_report.json"),
 }
 
 
 def run_scenario(command: str, scenario: dict, out_dir: Path, seed=None, threads: int = 1) -> dict:
+    """Run one command and write its report; ``passed`` is true exactly when ``failures`` is empty."""
     if seed is None:
         seed = scenario.get("seed")
     kind = scenario.get("kind", command)
     if kind != command:
         raise click.UsageError(f"scenario kind '{kind}' does not match command '{command}'")
-    return _RUNNERS[command](scenario, out_dir, seed, threads)
+    runner, report_name = _RUNNERS[command]
+    model = load_model(_require(scenario, "model", "model"))
+    if command == "region":
+        params = scenario.get("parameters", {})
+    else:
+        params = _require(scenario, "parameters", "parameters")
+    fields, diagnostics = runner(model, params, out_dir, seed, threads)
+    report = {"command": command, "parameters": _sanitize(params), **fields,
+              "passed": not fields.get("failures")}
+    _write_report(out_dir, report_name, report, diagnostics)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -499,9 +423,8 @@ def _invoke(command: str, scenario_path: str, out_dir, seed, threads):
     except CCRadonError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ASSERTION)
-    if not report.get("passed", True):
-        names = "; ".join(report.get("failures", [])) or "see report"
-        click.echo(f"assertion failure: {names}", err=True)
+    if not report["passed"]:
+        click.echo(f"assertion failure: {'; '.join(report['failures'])}", err=True)
         sys.exit(EXIT_ASSERTION)
     click.echo(f"ok: report written to {out}")
 

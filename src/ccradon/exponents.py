@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ccball import MAX_BATCH, ComparabilityWindow, reach_balls
+from .ccball import ComparabilityWindow, reach_balls
 from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
 from .errors import ConfigError, DegenerateError, OrderingError
 from .geometry import ModelFamily, as_zarray
@@ -333,9 +333,9 @@ def estimate_region(
     models (``RatioSequence.fit_rate``), which removes the small
     covering-inflation drift of the raw fits.  Each unique ball (z, d1, d2,
     h) runs once: the unique z-samples of one (d1, d2, h) go to
-    ``reach_balls`` as jobs (centres, d1, d2, h) of at most ``MAX_BATCH``
-    centres, each one fixpoint, through ``pool_map(fn, jobs)``: the builtin
-    ``map`` by default, or a pooled map with the same result order.
+    ``reach_balls`` as one job (centres, d1, d2, h), through
+    ``pool_map(fn, jobs)``: the builtin ``map`` by default, or a pooled map
+    with the same result order.
     """
     if windows is None:
         windows = default_windows()
@@ -354,8 +354,7 @@ def estimate_region(
     radii = dict.fromkeys(
         (d1, d2, default_h_rule(d1, d2)) for seq in sequences for d1, d2 in zip(seq.delta1, seq.delta2)
     )
-    # one job per radius triple and batch of at most MAX_BATCH unique centres
-    jobs = [(tuple(centres[lo:lo + MAX_BATCH]), *r) for r in radii for lo in range(0, len(centres), MAX_BATCH)]
+    jobs = [(tuple(centres), *r) for r in radii]
 
     def run(job):
         return [(ball.volume, ball.cells.n_cells) for ball in reach_balls(model, *job)]

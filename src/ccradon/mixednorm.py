@@ -52,19 +52,6 @@ class GridFunctionY:
     origin: tuple
     values: np.ndarray
 
-    @classmethod
-    def from_lattice_set(cls, ls: LatticeSet) -> "GridFunctionY":
-        if ls.is_empty:
-            raise DegenerateError("cannot densify an empty lattice set")
-        lo, hi = ls.bounds()
-        shape = tuple((hi - lo + 1).tolist())
-        if int(np.prod(shape)) > 50_000_000:
-            raise ConfigError("lattice set too large to densify")
-        g = cls(h=ls.h, origin=tuple(lo.tolist()), values=np.zeros(shape))
-        idx = tuple((ls.cells - lo).T)
-        g.values[idx] = 1.0
-        return g
-
     @property
     def d(self) -> int:
         return self.values.ndim
@@ -106,15 +93,6 @@ def mixed_norm_indicator(F: LatticeSet, q: float, r: float) -> float:
     else:
         slice_norms = masses ** (1.0 / r)
     return _outer_norm(slice_norms, F.h, q)
-
-
-def mixed_norm(f, q: float, r: float) -> float:
-    """Dispatch on LatticeSet (indicator) or GridFunctionY."""
-    if isinstance(f, LatticeSet):
-        return mixed_norm_indicator(f, q, r)
-    if isinstance(f, GridFunctionY):
-        return f.norm(q, r)
-    raise ConfigError("mixed_norm accepts a LatticeSet or GridFunctionY")
 
 
 @dataclass(frozen=True)

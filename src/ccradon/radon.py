@@ -301,10 +301,8 @@ class NecessityRecord:
     h: float
     n_translates: int
     spacing_cells: int
-    disjoint: bool
     union_volume: float
     proj1_measure: float
-    proj1_subadditive: bool
     norm: float
     ratio: float
 
@@ -324,8 +322,9 @@ def necessity_union(
     multiples of the spacing along x1.  Its projections are taken from U
     itself: ``pi2_cells`` shifts by whole cells with x1 and no other
     coordinate depends on x1, so they equal the unions of the shifted
-    projections.  Disjointness and subadditivity certificates are exact
-    integer checks.  Returns one record per input ball with the tested ratio
+    projections.  The spacing is the Pi span plus one cell, so the copies'
+    Pi columns, and so their cells, are disjoint.  Returns one record per
+    input ball with the tested ratio
     |U| / (|pi1 U|^{1/p} ||chi_{pi2 U}||_{q', r'}).
     """
     ip = 0.0 if p == math.inf else 1.0 / float(p)
@@ -356,10 +355,6 @@ def necessity_union(
         union_z = LatticeSet(h, union_cells)
         union_p1 = union_z.project(range(model.d))
         union_p2 = LatticeSet(h, pi2_cells(model, union_z.cells, h))
-        disjoint = (
-            union_z.n_cells == count * ball.cells.n_cells
-            and np.unique(union_p2.cells[:, 0]).size == count * ball.pi_cols.size
-        )
         norm = mixed_norm_indicator(union_p2, qc, rc)
         ratio = union_z.measure / (union_p1.measure ** ip * norm)
         records.append(
@@ -370,10 +365,8 @@ def necessity_union(
                 h=h,
                 n_translates=count,
                 spacing_cells=spacing,
-                disjoint=bool(disjoint),
                 union_volume=union_z.measure,
                 proj1_measure=union_p1.measure,
-                proj1_subadditive=bool(union_p1.measure <= count * ball.proj1.measure + 1e-12),
                 norm=norm,
                 ratio=float(ratio),
             )

@@ -229,7 +229,37 @@ class TestNecessityCommand:
         result = runner.invoke(main, ["necessity", "--scenario", scen, "--out", str(out)])
         assert result.exit_code == 0, result.output
         report = json.loads((out / "necessity_report.json").read_text())
-        assert all(rec["disjoint"] for rec in report["records"])
+        assert report["passed"] is True
+        assert [rec["n"] for rec in report["records"]] == [0, 1]
+        assert all(rec["n_translates"] >= 2 for rec in report["records"])
+        assert (out / "necessity.csv").read_text().splitlines()[0] == "n,delta1,delta2,n_translates,ratio"
+
+
+class TestClassifyCommand:
+    def test_unexpected_ordering_error_fails(self, runner, tmp_path):
+        # (4, 3, 2) violates the exponent ordering, so the triple's label is
+        # ordering-error; an entry that expects another label must fail by name
+        scen = write_scenario(
+            tmp_path,
+            {
+                "kind": "classify",
+                "model": "parabola",
+                "parameters": {
+                    "windows": [[1.0, 1.0]],
+                    "delta_grid": [0.0625, 0.03125],
+                    "c1_grid": {"start": 1.8, "stop": 2.2, "step": 0.1},
+                    "c2_grid": {"start": 1.8, "stop": 2.2, "step": 0.1},
+                    "z_samples": [[0.0, 0.0, 0.0]],
+                    "triples": [{"triple": [4, 3, 2], "expect": "interior"}],
+                },
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["classify", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "classify_report.json").read_text())
+        assert report["failures"]
+        assert "(4, 3, 2)" in result.output
 
 
 class TestDeterminism:
