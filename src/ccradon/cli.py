@@ -137,7 +137,7 @@ def _ball_pairs_sweep(model, deltas, h_rule, p, q, r, threads):
 
 
 # --------------------------------------------------------------------------
-# Command implementations (shared by the CLI and tests)
+# Command runners, called through run_scenario
 # --------------------------------------------------------------------------
 
 def run_ball(model, params: dict, out_dir: Path, seed, threads: int):
