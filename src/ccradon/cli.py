@@ -110,13 +110,10 @@ def _parse_set(spec, h: float, dim: int) -> LatticeSet:
     raise click.UsageError("set spec requires 'rects' or 'cells'")
 
 
-def _h_rule(params):
-    rule = params.get("h_rule", "auto")
-    if rule == "auto":
-        return default_h_rule
-    if isinstance(rule, (int, float)):
-        return lambda d1, d2: float(rule)
-    raise click.UsageError("parameters.h_rule must be 'auto' or a number")
+def _reject_h_overrides(params):
+    for key in ("h_rule", "halve_h"):
+        if key in params:
+            raise click.UsageError(f"parameters.{key} is not supported: balls run at h = default_h_rule(delta1, delta2)")
 
 
 def _pool_map(fn, jobs, threads: int):
@@ -126,9 +123,9 @@ def _pool_map(fn, jobs, threads: int):
         return list(pool.map(fn, jobs))
 
 
-def _ball_pairs_sweep(model, deltas, h_rule, p, q, r, threads):
+def _ball_pairs_sweep(model, deltas, p, q, r, threads):
     def one(d):
-        h = h_rule(d, d)
+        h = default_h_rule(d, d)
         ball = reach_ball(model, (0.0,) * model.dim_z, d, d, h)
         ratio = rwt_ratio(model, ball.proj1, ball.proj2, p, q, r)
         return {"delta": d, "h": h, "ratio": ratio, "volume": ball.volume}
@@ -185,18 +182,12 @@ def run_lemma_check(model, params: dict, out_dir: Path, seed, threads: int):
     grid = _require(params, "grid", "parameters.grid")
     thetas = grid.get("theta_list", [0.5, 0.75, 1.0])
     d1s = _require(grid, "delta1_list", "parameters.grid.delta1_list")
-    h_rule = _h_rule(params)
-    halve = bool(params.get("halve_h", False))
-
+    _reject_h_overrides(params)
     jobs = []
     for theta in thetas:
         for d1 in d1s:
             d2 = min(d1 ** theta, 0.375)
-            hs = [h_rule(d1, d2)]
-            if halve:
-                hs.append(hs[0] / 2.0)
-            for h in hs:
-                jobs.append((theta, d1, d2, h))
+            jobs.append((theta, d1, d2, default_h_rule(d1, d2)))
 
     def one(job):
         theta, d1, d2, h = job
@@ -278,8 +269,8 @@ def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
 def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):
     p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
-    h_rule = _h_rule(params)
-    sweep = _ball_pairs_sweep(model, deltas, h_rule, p, q, r, threads)
+    _reject_h_overrides(params)
+    sweep = _ball_pairs_sweep(model, deltas, p, q, r, threads)
     ratios = [s["ratio"] for s in sweep]
     factors = [ratios[i + 1] / ratios[i] for i in range(len(ratios) - 1)]
     mean_factor = float(np.exp(np.mean(np.log(factors)))) if factors else 1.0
@@ -301,11 +292,11 @@ def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):
 def run_necessity(model, params: dict, out_dir: Path, seed, threads: int):
     p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
-    h_rule = _h_rule(params)
+    _reject_h_overrides(params)
 
     def one(pair):
         d1, d2 = pair
-        return reach_ball(model, (0.0,) * model.dim_z, d1, d2, h_rule(d1, d2))
+        return reach_ball(model, (0.0,) * model.dim_z, d1, d2, default_h_rule(d1, d2))
 
     balls = _pool_map(one, [tuple(d) for d in deltas], threads)
     records = necessity_union(model, balls, p, q, r, n_translates=params.get("n_translates"))

@@ -20,6 +20,9 @@ from .errors import ConfigError, DegenerateError
 from .geometry import ModelFamily
 from .lattice import LatticeSet, encode_cells
 
+# the constant C of the width bound |J cap F(x)| <= C |J|^eta (2^m beta)^-eta 2^k
+C_WB = 8.0
+
 
 def _dyadic_level(h: float) -> int:
     k = round(math.log2(1.0 / h))
@@ -126,24 +129,39 @@ class DyadicInterval:
         return self.index * b, (self.index + 1) * b
 
 
+def _dyadic_runs(rows: np.ndarray, u: np.ndarray, level: int):
+    """The one dyadic level walk.  For lev = level, ..., 0, yields (lev, row,
+    block, count): the runs of equal (row, block) among the flat cells (rows, u),
+    sorted by row and then by u, each pair once.  A block is the index of a
+    dyadic interval of length 2^-lev offset by 2^lev, and count is the number of
+    cells of its row in it.  Each cell is its own run at the finest level."""
+    if not u.size:
+        return
+    if u.min() < -(1 << level) or u.max() >= 1 << level:
+        raise ConfigError("1-D set exceeds [-1, 1]")
+    block, cnt = u + (1 << level), np.ones(u.size, dtype=np.int64)
+    yield level, rows, block, cnt
+    # one sorted key per run, row << (lev + 1) | block, shifted right once per level
+    key = (rows << level) | (block >> 1)
+    for lev in range(level - 1, -1, -1):
+        start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        key, cnt = key[start], np.add.reduceat(cnt, start)
+        yield lev, key >> (lev + 1), key & ((2 << lev) - 1), cnt
+        key = key >> 1
+
+
 def _minimal_intervals(rows: np.ndarray, u: np.ndarray, n_rows: int, h: float, eta: float, c_eta: float):
     """Minimal dyadic interval of each row of the flat cells (rows, u), sorted by
     row and then by u, each pair once, as (level, index, cells in it) arrays.
-    Each level, finest first, merges the runs of equal (row, block); the first
-    qualifying run of a row not yet assigned wins."""
+    On the level walk, finest level first, the first qualifying run of a row
+    not yet assigned wins."""
     if not (0 < eta < 1 and c_eta > 0):
         raise ConfigError("minimal_dyadic requires eta in (0,1), c_eta > 0")
-    level = _dyadic_level(h)
-    if u.size and (u.min() < -(1 << level) or u.max() >= 1 << level):
-        raise ConfigError("1-D set exceeds [-1, 1]")
     total = np.bincount(rows, minlength=n_rows) * h
     if not total.all():
         raise DegenerateError("minimal_dyadic requires |S| > 0")
     levels, index, count = np.full((3, n_rows), -1, dtype=np.int64)
-    r, block, cnt = rows, u + (1 << level), np.ones(u.size, dtype=np.int64)
-    for lev in range(level, -1, -1):
-        start = np.flatnonzero(np.concatenate([[True], (r[1:] != r[:-1]) | (block[1:] != block[:-1])]))
-        r, block, cnt = r[start], block[start], np.add.reduceat(cnt, start)
+    for lev, r, block, cnt in _dyadic_runs(rows, u, _dyadic_level(h)):
         qual = cnt * h >= c_eta * (2.0 ** -lev) ** eta * total[r] - 1e-12
         # a unit root interval must qualify, otherwise c_eta is too large for
         # the minimality argument to make sense
@@ -152,7 +170,6 @@ def _minimal_intervals(rows: np.ndarray, u: np.ndarray, n_rows: int, h: float, e
         fresh = np.flatnonzero(qual & (levels[r] < 0))
         won, first = np.unique(r[fresh], return_index=True)
         levels[won], index[won], count[won] = lev, block[fresh[first]] - (1 << lev), cnt[fresh[first]]
-        block = block >> 1
     return levels, index, count
 
 
@@ -164,19 +181,18 @@ def minimal_dyadic(cells: np.ndarray, h: float, eta: float, c_eta: float) -> Dya
     return DyadicInterval(level=int(levels[0]), index=int(index[0]))
 
 
-def localization_check(cells: np.ndarray, h: float, interval: DyadicInterval, eta: float, slack_cells: int = 1) -> bool:
-    """|J cap S| <= (|J|/|I|)^eta |I cap S| for every dyadic J inside I."""
-    level = _dyadic_level(h)
-    line = _as_bool_line(cells, level)
-    n = 1 << level
+def localization_check(cells: np.ndarray, h: float, interval: DyadicInterval, eta: float) -> bool:
+    """|J cap S| <= (|J|/|I|)^eta |I cap S| + h (one cell of slack) for every
+    dyadic J inside I."""
     lo, hi = interval.cell_range(h)
-    block = line[lo + n: hi + n]
-    mass_i = block.sum() * h
-    for lev in range(interval.level, level + 1):
-        b = 1 << (level - lev)
-        sums = block.reshape(-1, b).sum(axis=1) * h
-        bound = (2.0 ** -lev / interval.length) ** eta * mass_i + slack_cells * h
-        if (sums > bound + 1e-12).any():
+    u = np.unique(np.asarray(cells, dtype=np.int64).ravel())
+    u = u[(u >= lo) & (u < hi)]
+    mass_i = u.size * h
+    for lev, _, _, cnt in _dyadic_runs(np.zeros(u.size, dtype=np.int64), u, _dyadic_level(h)):
+        if lev < interval.level:
+            break
+        bound = (2.0 ** -lev / interval.length) ** eta * mass_i + h
+        if (cnt * h > bound + 1e-12).any():
             return False
     return True
 
@@ -266,15 +282,12 @@ def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
         strata.append(Stratum(m=m, k=k, indices=indices, pairing=pairing))
     best = max(strata, key=lambda s: s.pairing)
     best.selected = True
-    total = fibs.total_pairing()
     count = len(strata)
     # floor rounding halves the nominal lower bounds |I| >= (c_eta beta)^(1/(1-eta))
     # and mass >= c_eta^(1/(1-eta)) beta^(1/(1-eta))
     lo_m_scale = 0.5 * (c_eta * beta) ** (1.0 / (1.0 - eta))
     lo_k = 0.5 * c_eta ** (1.0 / (1.0 - eta)) * beta ** (1.0 / (1.0 - eta))
     verdicts = {
-        "partition_exact": abs(sum(s.pairing for s in strata) - total) <= 1e-9 * max(total, 1e-300),
-        "selected_ge_average": best.pairing >= total / count - 1e-12,
         "stratum_count": count,
         "count_log2_bound": count <= 4.0 * (math.log2(1.0 / beta) + 2.0) ** 2,
         "count_beta_eta_bound": count <= 16.0 / c_eta * beta ** -eta,
@@ -314,7 +327,7 @@ def partition(
     C: float = 4.0,
 ) -> PartitionFamily:
     """Build I_n, E_n = {x : I(x) meets I_n}, F_n = F cap Pi^-1(3-window) and
-    verify the localized pairing, overlap, and two-sided incidence bounds."""
+    verify the localized pairing and the two-sided incidence bounds."""
     if C < 4:
         raise ConfigError("partition requires C >= 4")
     if strat.selected is None:
@@ -340,7 +353,6 @@ def partition(
 
     f_cols = F.cells[:, 0]
     e_counts, f_counts, omega, alpha1, alpha2 = {}, {}, {}, {}, {}
-    f_cover = np.zeros(F.n_cells, dtype=np.int64)
     pair_sum = 0.0
     omega_lower_ok = True
     omega_upper_ok = True
@@ -355,7 +367,6 @@ def partition(
         w_lo, w_hi = (n - 1) * L, (n + 2) * L
         col_mask = (f_cols * h >= w_lo - 1e-15) & (f_cols * h < w_hi - 1e-15)
         f_counts[n] = int(col_mask.sum())
-        f_cover += col_mask.astype(np.int64)
         is_member = np.zeros(fibs.n, dtype=bool)
         is_member[members] = True
         cells = np.flatnonzero(is_member[rows] & (u_h >= w_lo - 1e-15) & (u_h < w_hi - 1e-15))
@@ -380,12 +391,8 @@ def partition(
             alpha1[n] = alpha2[n] = 0.0
 
     total_pair = float(fibs.measures[x_idx].sum()) * h ** d
-    sum_e = sum(e_counts.values())
     verdicts = {
         "localized_ok": pair_sum >= total_pair - 1e-12,
-        "e_overlap_ok": sum_e <= 2 * len(x_idx),
-        "f_cover_max": int(f_cover.max()) if f_cover.size else 0,
-        "f_cover_ok": bool(f_cover.max() <= 3) if f_cover.size else True,
         "omega_lower_ok": omega_lower_ok,
         "omega_upper_ok": omega_upper_ok,
         "c_prime_lower": c_lower,
@@ -403,37 +410,19 @@ def partition(
     )
 
 
-def widthbound_check(
-    fibs: PiFibers,
-    strat: StratifyResult,
-    n_samples: int = 100,
-    c_wb: float = 8.0,
-    seed: int = 0,
-) -> tuple:
-    """Spot check |J cap F(x)| <= C |J|^eta (2^m beta)^-eta 2^k on random
-    dyadic J and selected-stratum x.  Returns (ok, worst_ratio)."""
+def widthbound_check(fibs: PiFibers, strat: StratifyResult) -> tuple:
+    """Width bound |J cap F(x)| <= C_WB |J|^eta (2^m beta)^-eta 2^k for every
+    selected-stratum x and every dyadic J.  Returns (ok, worst ratio)."""
     if strat.selected is None:
         raise DegenerateError("widthbound_check requires a nonempty stratification")
     sel = strat.selected
-    level = _dyadic_level(fibs.h)
-    rng = np.random.default_rng(seed)
-    draws = np.zeros((n_samples, 3), dtype=np.int64)
-    for s in range(n_samples):  # one draw at a time keeps the seeded stream
-        i = int(rng.choice(sel.indices))
-        lev = int(rng.integers(0, level + 1))
-        draws[s] = i, lev, rng.integers(-(1 << lev), 1 << lev)
-    i, lev, j = draws.T
-    # |J cap F(x)| by searchsorted on the sorted keys row * 2^(level+1) + u + 2^level,
-    # one key range per row since stratify checked u in [-2^level, 2^level)
-    width, b = 2 << level, 1 << (level - lev)
-    keys = fibs.rows * width + fibs.u_cells + (1 << level)
-    lo = i * width + j * b + (1 << level)
-    mass = (np.searchsorted(keys, lo + b) - np.searchsorted(keys, lo)) * fibs.h
-    bound = np.array([
-        c_wb * (2.0 ** -lj) ** strat.eta * (2.0 ** sel.m * strat.beta) ** -strat.eta * 2.0 ** sel.k
-        for lj in range(level + 1)
-    ])[lev]
-    worst = float(np.max(mass[bound > 0] / bound[bound > 0], initial=0.0))
+    selected = np.zeros(fibs.n, dtype=bool)
+    selected[sel.indices] = True
+    keep = selected[fibs.rows]
+    worst = 0.0
+    for lev, _, _, cnt in _dyadic_runs(fibs.rows[keep], fibs.u_cells[keep], _dyadic_level(fibs.h)):
+        bound = C_WB * (2.0 ** -lev) ** strat.eta * (2.0 ** sel.m * strat.beta) ** -strat.eta * 2.0 ** sel.k
+        worst = max(worst, float(cnt.max()) * fibs.h / bound)
     return worst <= 1.0 + 1e-9, worst
 
 
@@ -443,7 +432,6 @@ def delta1_lower_bound_check(
     part: PartitionFamily,
     n: int,
     subset_indices,
-    c_wb: float = 8.0,
 ) -> dict:
     """Fiber-width mechanism: a subset of Omega^n carrying a lambda-fraction of
     its measure, with x-fibers inside intervals of width w, forces
@@ -465,7 +453,7 @@ def delta1_lower_bound_check(
     sub_measure = rows.size * h ** (fibs.d + 1)
     w_measured = int((np.maximum.reduceat(u, first) - u[first]).max() + 1) * h
     lam = sub_measure / omega_n
-    w_bound = (lam / c_wb) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * strat.beta
+    w_bound = (lam / C_WB) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * strat.beta
     return {
         "lambda": lam,
         "w_measured": w_measured,

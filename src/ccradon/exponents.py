@@ -426,7 +426,6 @@ def estimate_region(
             "z_samples": [list(z) for z in z_samples],
             "inside_rate": INSIDE_RATE,
             "outside_rate": OUTSIDE_RATE,
-            "snap": True,
             "raw_rates": [
                 {
                     "theta": s.window.theta,

@@ -120,12 +120,12 @@ def holder_lower_bound(F: LatticeSet, q: float, r: float) -> HolderBound:
     qc = conjugate(q)
     rc = conjugate(r)
     lhs = mixed_norm_indicator(F, qc, rc)
-    pi_measure = len(F.first_axis_histogram()[0]) * F.h
+    _, counts = F.first_axis_histogram()
+    pi_measure = len(counts) * F.h
     vol = F.measure
     inv_rc = 0.0 if rc == INF else 1.0 / rc
     inv_qc = 0.0 if qc == INF else 1.0 / qc
     rhs = vol ** inv_rc * pi_measure ** (inv_qc - inv_rc)
-    _, counts = F.first_axis_histogram()
     min_slice = counts.min() * F.h ** (F.dim - 1)
     if F.dim >= 2:
         feature = min(pi_measure, min_slice ** (1.0 / (F.dim - 1)))

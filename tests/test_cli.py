@@ -124,6 +124,26 @@ class TestModelCommands:
         assert result.exit_code == 2
 
 
+LEMMA_SCENARIO = {
+    "kind": "lemma-check",
+    "model": "parabola",
+    "parameters": {"q": 3, "r": 3, "p": 2, "grid": {"theta_list": [1.0], "delta1_list": [0.125]}},
+}
+
+
+@pytest.mark.parametrize("key, value", [("h_rule", 0.01), ("h_rule", "auto"), ("halve_h", True)])
+def test_lemma_check_rejects_h_overrides(runner, tmp_path, key, value):
+    bad = json.loads(json.dumps(LEMMA_SCENARIO))
+    bad["parameters"][key] = value
+    scen = write_scenario(tmp_path, bad)
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["lemma-check", "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"parameters.{key}" in result.output
+    assert "default_h_rule" in result.output
+    assert not (out / "lemma_report.json").exists()
+
+
 class TestInequalityCommand:
     def test_bounded_verdict(self, runner, tmp_path):
         scen = write_scenario(
@@ -190,8 +210,8 @@ class TestDecomposeCommand:
 # sha256 of decompose_report.json for the slab scenario at h = 2^-k; k = 6 is
 # the scenario of the transform_decompose benchmark workload
 DECOMPOSE_REPORT_PINS = {
-    6: "a42b2afea41edd6dd26f951a0722ea7a896006498feb4720c04b7e9e4f3f2049",
-    7: "c66f713789d89245d9b5cc0a71b47d6b88b2f537e6ac9a2933a49c7599d26596",
+    6: "0d5ca7d615ca4143258c6a943230b31dda4940669bbb59c4734488ba3d7e5d31",
+    7: "82a69170869162e2ddd77e1e4963be258a6b2c7dfea41649b0c9b571afbce5d9",
 }
 
 
