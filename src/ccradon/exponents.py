@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ccball import ComparabilityWindow, reach_balls
 from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
@@ -271,37 +272,26 @@ class RegionEstimate:
 def _region_sequences(windows, delta_grid, delta_cap=0.25) -> list:
     """Radius paths along window edges, one RatioSequence skeleton each.
 
-    Where the radius cap binds for every grid point, the path degenerates to a
-    fixed-companion sweep (exponent 0); mixed capped/uncapped points are
-    trimmed to the uncapped part so every path obeys a single power law.
+    A path keeps the grid points whose companion radius A g^theta stays under
+    the cap, so it obeys a single power law; where the cap binds at every
+    grid point, it becomes a fixed-companion sweep (exponent 0).
     """
+    gs = sorted(delta_grid, reverse=True)
     seqs = []
     for w in windows:
-        for orientation in (0, 1):
-            gs = sorted(delta_grid, reverse=True)
-            raw = [(g, w.bigA * g ** w.theta) for g in gs]
-            capped = [other > delta_cap + 1e-12 for _, other in raw]
-            if all(capped):
-                pts = [(g, delta_cap) for g in gs]
-                exps = (1.0, 0.0)
-            elif any(capped):
-                pts = [(g, other) for (g, other), c in zip(raw, capped) if not c]
-                exps = (1.0, w.theta)
-            else:
-                pts = raw
-                exps = (1.0, w.theta)
-            if len(pts) < 2:
-                continue
-            if orientation == 1:
-                pts = [(other, g) for g, other in pts]
-                exps = (exps[1], exps[0])
-            seq = RatioSequence(window=w, orientation=orientation, e1=exps[0], e2=exps[1])
-            for (d1, d2), g in zip(pts, [p[0] if orientation == 0 else p[1] for p in pts]):
-                if not w.contains(d1, d2):
-                    continue
-                seq.sweep.append(g)
-                seq.delta1.append(d1)
-                seq.delta2.append(d2)
+        pts = [(g, w.bigA * g ** w.theta) for g in gs]
+        pts = [(g, other) for g, other in pts if other <= delta_cap + 1e-12]
+        exps = (1.0, w.theta)
+        if not pts:
+            pts, exps = [(g, delta_cap) for g in gs], (1.0, 0.0)
+        for o in (0, 1):
+            seq = RatioSequence(window=w, orientation=o, e1=exps[o], e2=exps[1 - o])
+            for g, other in pts:
+                d1, d2 = (g, other) if o == 0 else (other, g)
+                if w.contains(d1, d2):
+                    seq.sweep.append(g)
+                    seq.delta1.append(d1)
+                    seq.delta2.append(d2)
             if len(seq.sweep) >= 2:
                 seqs.append(seq)
     return seqs
@@ -347,6 +337,8 @@ def estimate_region(
         c2_grid = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     c1_grid = np.asarray(c1_grid, dtype=float)
     c2_grid = np.asarray(c2_grid, dtype=float)
+    if not (c1_grid.size and c2_grid.size):
+        raise ConfigError("c1_grid and c2_grid need at least one node each")
 
     sequences = _region_sequences(windows, delta_grid)
     zkeys = [tuple(as_zarray(z, model.dim_z).tolist()) for z in z_samples]
@@ -374,44 +366,23 @@ def estimate_region(
                 z_spread_ok = False
             seq.volumes.append(min(vals))
 
-    n1, n2 = len(c1_grid), len(c2_grid)
-    infimum = np.full((n1, n2), np.inf)
-    worst = np.full((n1, n2), -np.inf)
+    c1, c2 = c1_grid[:, None], c2_grid[None, :]
+    infimum = np.full((len(c1_grid), len(c2_grid)), np.inf)
+    worst = np.full_like(infimum, -np.inf)
     for seq in sequences:
-        d1s = np.asarray(seq.delta1)
-        d2s = np.asarray(seq.delta2)
-        vols = np.asarray(seq.volumes)
-        vol_rate = seq.fit_rate()
+        d1s, d2s, vols = (np.asarray(v)[:, None, None] for v in (seq.delta1, seq.delta2, seq.volumes))
         # decay rate of the node ratio along this path is linear in (c1, c2)
-        rates = vol_rate - (c1_grid[:, None] * seq.e1 + c2_grid[None, :] * seq.e2)
-        np.maximum(worst, rates, out=worst)
-        for i, c1 in enumerate(c1_grid):
-            ratios = vols[:, None] / (d1s[:, None] ** c1 * d2s[:, None] ** c2_grid[None, :])
-            infimum[i, :] = np.minimum(infimum[i, :], ratios.min(axis=0))
+        np.maximum(worst, seq.fit_rate() - (c1 * seq.e1 + c2 * seq.e2), out=worst)
+        np.minimum(infimum, (vols / (d1s ** c1 * d2s ** c2)).min(axis=0), out=infimum)
 
-    classification = np.empty((n1, n2), dtype=object)
-    for i in range(n1):
-        for j in range(n2):
-            rate = worst[i, j]
-            if rate >= OUTSIDE_RATE:
-                classification[i, j] = "outside"
-            elif resolution_limited:
-                classification[i, j] = "inconclusive"
-            elif rate <= INSIDE_RATE and infimum[i, j] > 0:
-                classification[i, j] = "inside"
-            else:
-                classification[i, j] = "inconclusive"
-
-    edge = np.zeros((n1, n2), dtype=bool)
-    for i in range(n1):
-        for j in range(n2):
-            if classification[i, j] != "inside":
-                continue
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < n1 and 0 <= jj < n2 and classification[ii, jj] != "inside":
-                        edge[i, j] = True
+    # INSIDE_RATE < OUTSIDE_RATE, so no inside node is outside
+    inside = (worst <= INSIDE_RATE) & (infimum > 0) & (not resolution_limited)
+    classification = np.where(
+        worst >= OUTSIDE_RATE, "outside", np.where(inside, "inside", "inconclusive")
+    ).astype(object)
+    # an inside node is an edge node when some in-grid 3x3 neighbour is not inside
+    padded = np.pad(inside, 1, constant_values=True)
+    edge = inside & ~sliding_window_view(padded, (3, 3)).all(axis=(2, 3))
     return RegionEstimate(
         c1_values=c1_grid,
         c2_values=c2_grid,
@@ -463,13 +434,5 @@ def classify_triple(triple, region: RegionEstimate, margin: float = DEFAULT_MARG
     if node == "inconclusive":
         return "inconclusive"
     tol = margin + 1e-9
-    ball_inside = True
-    for i, cv1 in enumerate(region.c1_values):
-        if abs(cv1 - c1) > tol:
-            continue
-        for j, cv2 in enumerate(region.c2_values):
-            if abs(cv2 - c2) > tol:
-                continue
-            if region.classification[i, j] != "inside":
-                ball_inside = False
-    return "interior" if ball_inside else "boundary"
+    ball = (np.abs(region.c1_values - c1) <= tol)[:, None] & (np.abs(region.c2_values - c2) <= tol)
+    return "interior" if np.all(region.classification[ball] == "inside") else "boundary"

@@ -218,16 +218,10 @@ def eval_fields(model: ModelFamily, z) -> tuple:
     arr = as_zarray(z, model.dim_z)
     if not model.contains(arr):
         raise ChartDomainError(f"point {arr.tolist()} outside chart domain")
-    d = model.d
-    v1 = np.zeros(d + 1)
-    v1[d] = 1.0
-    v2 = np.empty(d + 1)
-    v2[:d] = -model.dgamma(arr[d])
-    v2[d] = 1.0
     base = ZPoint.from_array(arr)
-    return (
-        TangentVector(base=base, components=tuple(v1.tolist())),
-        TangentVector(base=base, components=tuple(v2.tolist())),
+    return tuple(
+        TangentVector(base=base, components=tuple(npoly.polyval(arr[-1], _field_matrix(model, j)).tolist()))
+        for j in (1, 2)
     )
 
 
@@ -360,14 +354,7 @@ def lie_bracket(model: ModelFamily, z, i: int, j: int, step: float = 1e-3) -> Ta
     arr = as_zarray(z, model.dim_z)
 
     def field(jj, pts):
-        d = model.d
-        out = np.zeros_like(pts)
-        if jj == 1:
-            out[..., d] = 1.0
-        else:
-            out[..., :d] = -model.dgamma(pts[..., d])
-            out[..., d] = 1.0
-        return out
+        return npoly.polyval(pts[-1], _field_matrix(model, jj))
 
     vi = field(i, arr)
     vj = field(j, arr)

@@ -232,6 +232,28 @@ def test_decompose_report_pinned(runner, tmp_path, k):
     assert hashlib.sha256((out / "decompose_report.json").read_bytes()).hexdigest() == DECOMPOSE_REPORT_PINS[k]
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_decompose_box_meets_many_intervals(runner, tmp_path, k):
+    # On the slab the selected stratum meets a single I_n, so no verdict sees
+    # the Omega^n window; this box spreads it over twelve I_n, where a window
+    # narrowed to I_n itself drops pairing mass and fails localized_ok.
+    scen = write_scenario(
+        tmp_path,
+        {
+            "kind": "decompose",
+            "model": "parabola",
+            "parameters": {"h": 2.0 ** -k, "beta": 0.1, "F": {"rects": [[[-0.6, 0.6], [-0.2, 0.2]]]}, "C": 4.0},
+        },
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decompose", "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "decompose_report.json").read_text())
+    assert report["passed"] is True and report["partition_verdicts"]["localized_ok"] is True
+    n_values = [line.split(",")[0] for line in (out / "partition.csv").read_text().splitlines()[1:]]
+    assert len(n_values) == 12
+
+
 class TestNecessityCommand:
     def test_records(self, runner, tmp_path):
         scen = write_scenario(
@@ -280,6 +302,37 @@ class TestClassifyCommand:
         report = json.loads((out / "classify_report.json").read_text())
         assert report["failures"]
         assert "(4, 3, 2)" in result.output
+
+
+# sha256 of the region outputs for the scenario of the region_sweep benchmark
+# workload: the three A = 1 windows, delta 2^-3..2^-5, the default c-grid
+REGION_PINS = {
+    "region_report.json": "6420b1e83d10a9d7cca91fa3dc31ad4263ed0908b38d924e6dcd359fbacb2056",
+    "region.csv": "8f316c0cba99ce16e1139c374003b4dc08ea5a8869f9f26189f8a15b52fa828f",
+}
+
+
+def test_region_outputs_pinned(runner, tmp_path):
+    scen = write_scenario(
+        tmp_path,
+        {
+            "kind": "region",
+            "model": "parabola",
+            "parameters": {
+                "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
+                "delta_grid": [0.125, 0.0625, 0.03125],
+                "expect": [
+                    {"c1": 2.2, "c2": 2.2, "label": "inside"},
+                    {"c1": 1.5, "c2": 1.5, "label": "outside"},
+                    {"c1": 2.0, "c2": 2.0, "label": "edge"},
+                ],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["region", "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REGION_PINS} == REGION_PINS
 
 
 class TestDeterminism:

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccradon.ccball import ComparabilityWindow
-from ccradon.errors import DegenerateError, OrderingError
+from ccradon.errors import ConfigError, DegenerateError, OrderingError
 from ccradon.exponents import (
+    INSIDE_RATE,
+    OUTSIDE_RATE,
     ExponentTriple,
     c_from_pq,
     c_from_pqr,
@@ -153,3 +155,56 @@ class TestRegionStructure:
         np.testing.assert_array_equal(reg.worst_rate, ref.worst_rate)
         np.testing.assert_array_equal(reg.classification, ref.classification)
         assert reg.meta == ref.meta
+
+
+def _square_volume_map(n_cells):
+    """A pool_map that skips the balls: every centre gets volume (d1 d2)^2
+    and ``n_cells`` cells, so each path's volume rate is 2 (e1 + e2)."""
+
+    def pool_map(fn, jobs):
+        return [[((d1 * d2) ** 2, n_cells) for _ in centres] for centres, d1, d2, _h in jobs]
+
+    return pool_map
+
+
+class TestRegionRule:
+    def test_labels_follow_the_node_rule(self, parabola):
+        reg = estimate_region(parabola, pool_map=_square_volume_map(100))
+        assert reg.sequences and not reg.meta["resolution_limited"] and np.all(reg.infimum > 0)
+        for seq in reg.sequences:
+            rate = 2 * (seq.e1 + seq.e2)
+            assert rate in (3.0, 3.5, 4.0)
+            assert seq.raw_rate == pytest.approx(rate, abs=1e-9) and seq.snapped
+        assert reg.label_at(2.2, 2.2) == "inside"
+        assert reg.label_at(1.5, 1.5) == "outside"
+        assert reg.label_at(2.0, 2.0) == "edge"
+
+        n1, n2 = reg.classification.shape
+        inside = np.zeros((n1, n2), dtype=bool)
+        for i, c1 in enumerate(reg.c1_values):
+            for j, c2 in enumerate(reg.c2_values):
+                worst = max(2 * (s.e1 + s.e2) - (c1 * s.e1 + c2 * s.e2) for s in reg.sequences)
+                assert reg.worst_rate[i, j] == worst
+                if worst >= OUTSIDE_RATE:
+                    want = "outside"
+                elif worst <= INSIDE_RATE:
+                    want = "inside"
+                else:
+                    want = "inconclusive"
+                assert reg.classification[i, j] == want
+                inside[i, j] = want == "inside"
+        for i in range(n1):
+            for j in range(n2):
+                neighbours = inside[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
+                assert reg.edge[i, j] == (inside[i, j] and not neighbours.all())
+
+    def test_few_cells_leave_no_node_inside(self, parabola):
+        reg = estimate_region(parabola, pool_map=_square_volume_map(5))
+        assert reg.meta["resolution_limited"] is True
+        assert not np.any(reg.classification == "inside")
+        assert not reg.edge.any()
+        assert reg.label_at(1.5, 1.5) == "outside"
+
+    def test_empty_node_grid_is_rejected(self, parabola):
+        with pytest.raises(ConfigError, match="at least one node"):
+            estimate_region(parabola, c1_grid=[], pool_map=_square_volume_map(100))
