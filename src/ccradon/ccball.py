@@ -19,8 +19,9 @@ from .mixednorm import conjugate, mixed_norm_indicator
 
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
-ROUND_CHUNK = 8192  # active points a reach_ball round steps and keys together
+ROUND_CHUNK = 8192  # active points whose pool cells and distances a reach_ball round takes together
 JOB_SHIFT = 60  # encode_cells keys fit in 60 bits; a batched fixpoint keeps its job index above them
+DENSE_BOX_FACTOR = 6  # dedup box cells per pool point up to which the dense table beats the sort
 MAX_BATCH = 1 << (63 - JOB_SHIFT)  # centres per fixpoint: job bits 60-62 keep int64 keys positive
 MIN_PROJ_CELLS = 10  # lemma_balls_report refuses ratios of projections with fewer cells
 
@@ -66,6 +67,7 @@ class BallEstimate:
     active_per_round: np.ndarray  # representatives kept after the dedup
     new_cells_per_round: np.ndarray  # cells added to the ball; their sum + 1 is n_cells
     dropped_per_round: np.ndarray  # pool points outside the chart domain
+    box_cells_per_round: np.ndarray  # cells of the round's dedup box, shared by the balls of one batch
 
     def to_report(self) -> dict:
         return {
@@ -92,6 +94,7 @@ class BallEstimate:
             "active_per_round": self.active_per_round.tolist(),
             "new_cells_per_round": self.new_cells_per_round.tolist(),
             "dropped_per_round": self.dropped_per_round.tolist(),
+            "box_cells_per_round": self.box_cells_per_round.tolist(),
         }
 
 
@@ -125,7 +128,7 @@ def pi2_cells(model: ModelFamily, cells: np.ndarray, h: float) -> np.ndarray:
 
 
 def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys, stats) -> BallEstimate:
-    """``stats`` holds (active, new cells, dropped) for each round run."""
+    """``stats`` holds (active, new cells, dropped, box cells) for each round run."""
     d = model.d
     cells = decode_keys(keys, d + 1)
     zset = LatticeSet(h, cells, _sorted=True)
@@ -156,6 +159,7 @@ def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys,
         active_per_round=stats[:, 0],
         new_cells_per_round=stats[:, 1],
         dropped_per_round=stats[:, 2],
+        box_cells_per_round=stats[:, 3],
     )
 
 
@@ -179,6 +183,46 @@ def _farthest_per_key(keys: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return order[hits[np.searchsorted(hits, starts)]]
 
 
+def _farthest_in_box(idx: np.ndarray, dist: np.ndarray, box: int) -> np.ndarray:
+    """``_farthest_per_key`` for keys in ``[0, box)``, on a table of ``box``
+    cells: the per-cell max of ``dist``, then the lowest index among the
+    points that reach it.  Boxes of more than ``DENSE_BOX_FACTOR`` cells per
+    point sort instead."""
+    n = idx.shape[0]
+    if box > DENSE_BOX_FACTOR * n:
+        return _farthest_per_key(idx, dist)
+    best = np.full(box, -np.inf)
+    np.maximum.at(best, idx, dist)
+    hits = np.flatnonzero(dist == best[idx])
+    first = np.full(box, n, dtype=np.int64)
+    np.minimum.at(first, idx[hits], hits)
+    return first[np.flatnonzero(first < n)]
+
+
+def _box_index(rel: np.ndarray, job: np.ndarray, n_jobs: int) -> tuple:
+    """Row-major index of (job, cell offset) in the bounding box of the offsets.
+
+    ``rel`` holds the refined-cell offsets from each point's centre cell,
+    (d+1, m, n) with ``job`` the column's job; it is overwritten.  Index
+    order is lexicographic (job, x..., t) order, the order of the packed
+    cell keys.  Returns the (m n,) index and the box's cell count, which
+    must fit int64.
+    """
+    lo, hi = rel.min(axis=(1, 2)), rel.max(axis=(1, 2))
+    spans = (hi - lo + 1).tolist()
+    box = n_jobs * math.prod(spans)
+    if box >= 1 << 63:
+        raise ConfigError(
+            f"dedup box index out of int64 range: the box needs < 2^63 cells, got {box} "
+            f"({n_jobs} jobs x offset spans {spans}); lattice too fine"
+        )
+    rel -= lo[:, None, None]
+    rel *= np.cumprod([1] + spans[:0:-1])[::-1, None, None]  # row-major strides of the offset axes
+    idx = rel.sum(axis=0)
+    idx += job * (box // n_jobs)
+    return idx.ravel(), box
+
+
 def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau: float, z0s: np.ndarray,
             h_rep: float) -> tuple:
     """One round's candidate pool: every active point stepped under every control.
@@ -186,35 +230,37 @@ def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau
     ``job`` is each active point's column of ``z0s``, the batch's centres,
     in ascending order.
     Returns the pool as column storage (d+1, m n), control-major, with each
-    point's refined-cell key (its job index in bits ``JOB_SHIFT`` and up),
-    squared distance to its centre and chart mask.  The work runs on chunks
-    of ``ROUND_CHUNK`` active points so that temporaries stay cache-sized;
-    points outside the chart are keyed at their centre, and the caller drops
-    them.
+    point's box index of its refined cell (``_box_index``), the box's cell
+    count, each point's squared distance to its centre and the chart mask.
+    Cells and distances run on chunks of ``ROUND_CHUNK`` active points so
+    that temporaries stay cache-sized.  Points outside the chart take their
+    centre's cell, so they do not widen the box, and the caller drops them.
     """
     dim, m, n = model.dim_z, a1.shape[0], active.shape[1]
-    pool = np.empty((dim, m, n))
-    keys = np.empty((m, n), dtype=np.int64)
+    pool = rk4_many(model, active, a1, a2, tau)
+    home = points_to_cells(z0s, h_rep)
+    rel = np.empty((dim, m, n), dtype=np.int64)
     dist = np.zeros((m, n))
     inside = np.empty((m, n), dtype=bool)
     for lo in range(0, n, ROUND_CHUNK):
         cols = slice(lo, lo + ROUND_CHUNK)
-        block = rk4_many(model, active[:, cols], a1, a2, tau)
-        pool[:, :, cols] = block
+        block = pool[:, :, cols]
         jobs = job[cols]
         # actives are stored job by job, so most chunks subtract one centre column
-        centres = z0s.take(jobs[:1] if jobs[0] == jobs[-1] else jobs, axis=1)
+        one = jobs[:1] if jobs[0] == jobs[-1] else jobs
+        centres = z0s.take(one, axis=1)
         ok = model.contains(block)
         inside[:, cols] = ok
+        np.subtract(points_to_cells(block, h_rep), home.take(one, axis=1)[:, None, :], out=rel[:, :, cols])
         if not ok.all():
-            block = np.where(ok, block, centres[:, None, :])
-        keys[:, cols] = encode_cells(points_to_cells(block, h_rep).reshape(dim, -1).T).reshape(m, -1)
-        keys[:, cols] |= jobs << JOB_SHIFT
+            rel[:, :, cols][:, ~ok] = 0
         # summed left to right, as np.sum over a row of coordinates does
         for coord, c0 in zip(block, centres):
             dx = coord - c0
-            dist[:, cols] += dx * dx
-    return pool.reshape(dim, -1), keys.ravel(), dist.ravel(), inside.ravel()
+            dx *= dx
+            dist[:, cols] += dx
+    idx, box = _box_index(rel, job, z0s.shape[1])
+    return pool.reshape(dim, -1), idx, box, dist.ravel(), inside.ravel()
 
 
 def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: float) -> list:
@@ -230,12 +276,14 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
 
     Each round steps every active point under the nine controls into one
     column-storage pool, (d+1, 9n), control-major; pool order breaks
-    distance ties in the dedup (see ``_expand`` and ``_farthest_per_key``).
+    distance ties in the dedup (see ``_expand`` and ``_farthest_in_box``).
     Centres share the rounds and controls, so up to ``MAX_BATCH`` of them run
-    as one fixpoint over their concatenated actives, each key carrying its
-    job index above the cell bits.  Every dedup group and visited cell then
-    belongs to one job, and each job keeps its own pool order, so every ball
-    equals its one-centre run bit for bit.
+    as one fixpoint over their concatenated actives.  Refined cells are
+    grouped by their index in the round's box of (job, offset from the
+    centre's cell), and visited keys carry the job index above the cell
+    bits.  Every dedup group and visited cell then belongs to one job, and
+    each job keeps its own pool order, so every ball equals its one-centre
+    run bit for bit.
     """
     _check_radii(delta1, delta2, h)
     z0s = np.array([as_zarray(z, model.dim_z) for z in centers]).reshape(-1, model.dim_z).T
@@ -256,27 +304,28 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
         job = np.arange(n_jobs, dtype=np.int64)
         visited = encode_cells(points_to_cells(batch, h).T) | (job << JOB_SHIFT)
         active = batch.copy()
-        stats = []  # (active, new cells, dropped) per round, each counted per job
+        stats = []  # (active, new cells, dropped, box cells) per round, each counted per job
         for _ in range(rounds):
-            pool, rep_keys, dist, inside = _expand(model, active, job, a1, a2, tau, batch, h_rep)
+            pool, idx, box, dist, inside = _expand(model, active, job, a1, a2, tau, batch, h_rep)
+            n = job.shape[0]
             # One representative per refined cell, preferring the point farthest
             # from its centre: slow interior landings must not hijack the fronts.
             # Control (0, 0) maps each point to itself, so every job keeps a point.
             if inside.all():
-                dropped, pick = np.zeros(n_jobs, dtype=np.int64), _farthest_per_key(rep_keys, dist)
+                dropped, pick = np.zeros(n_jobs, dtype=np.int64), _farthest_in_box(idx, dist, box)
             else:
-                dropped = np.bincount(rep_keys[~inside] >> JOB_SHIFT, minlength=n_jobs)
+                dropped = np.bincount(job[np.flatnonzero(~inside) % n], minlength=n_jobs)
                 kept = np.flatnonzero(inside)
-                pick = kept[_farthest_per_key(rep_keys[kept], dist[kept])]
-            job = rep_keys[pick] >> JOB_SHIFT
+                pick = kept[_farthest_in_box(idx[kept], dist[kept], box)]
+            job = job[pick % n]
             active = pool[:, pick]
-            del pool, rep_keys, dist, inside
+            del pool, idx, dist, inside
             # look the cell keys up in visited and merge in only the new ones
             keys = encode_cells(points_to_cells(active, h).T) | (job << JOB_SHIFT)
             fresh = np.unique(keys[visited.take(np.searchsorted(visited, keys), mode="clip") != keys])
             visited = np.sort(np.concatenate((visited, fresh)), kind="stable")  # a merge of two sorted runs
             new_cells = np.bincount(fresh >> JOB_SHIFT, minlength=n_jobs)
-            stats.append((np.bincount(job, minlength=n_jobs), new_cells, dropped))
+            stats.append((np.bincount(job, minlength=n_jobs), new_cells, dropped, np.full(n_jobs, box)))
         stats = np.array(stats, dtype=np.int64)
         ends = np.searchsorted(visited, np.arange(1, n_jobs, dtype=np.int64) << JOB_SHIFT).tolist() + [visited.size]
         for j, (start, end) in enumerate(zip([0] + ends, ends)):

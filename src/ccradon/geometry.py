@@ -235,25 +235,43 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
 
     The fields depend on t only, so k3 == k2 and the step is Simpson's rule
     on gamma' at t, t + dt v/2, t + dt v (v = a1 + a2): exact while gamma has
-    degree <= 4.  gamma'(t) is evaluated once per call and the other two
-    nodes once per distinct scalar speed v.  The classical operation order is
-    kept bit for bit.
+    degree <= 4.  gamma_1' == 1, so the x1 row moves like the t row, by -a2
+    in place of v.  gamma'(t) is evaluated once per call, k1 once per
+    distinct scalar a2 and the other two nodes once per distinct scalar
+    speed; at speed 0 both nodes are t itself.  The classical operation
+    order is kept bit for bit.
     """
     d = model.d
-    x, t = pts[:d], pts[d]
+    x, t = pts[1:d], pts[d]  # x2 .. xd; x1 moves like t
     v = np.atleast_2d(np.add(a1, a2))
     minus_a2 = np.broadcast_to(-np.atleast_2d(a2), v.shape)
     out = np.empty((d + 1, v.shape[0], t.shape[0]))
-    dg_start = npoly.polyval(t, model._dcoef)  # gamma'(t) as (d, n) columns
+    dcoef = model._dcoef[:, 1:]  # gamma_2' .. gamma_d'
+    dg_start = npoly.polyval(t, dcoef)  # (d - 1, n) columns
+    # at speed 0 both nodes are t + 0.0, which is t bit for bit unless t holds -0.0
+    zero_speed = None if (np.signbit(t) & (t == 0.0)).any() else (dg_start, dg_start)
+    k1s = {}  # -a2 gamma'(t), shared by the rows of one scalar a2
     nodes = {}  # gamma' at t + dt v/2 and t + dt v, shared by the rows of one scalar speed
     for c in range(v.shape[0]):
         vc, ma2 = v[c], minus_a2[c]
-        key = vc.tobytes() if vc.size == 1 else c
-        if key not in nodes:
-            nodes[key] = [npoly.polyval(t + s * dt * vc, model._dcoef) for s in (0.5, 1.0)]
-        dg_mid, dg_end = nodes[key]
-        k2 = ma2 * dg_mid
-        np.add(x, (dt / 6.0) * (ma2 * dg_start + 2.0 * k2 + 2.0 * k2 + ma2 * dg_end), out=out[:d, c])
+        a2_key = ma2.tobytes() if ma2.size == 1 else c
+        if a2_key not in k1s:
+            k1s[a2_key] = ma2 * dg_start
+        v_key = vc.tobytes() if vc.size == 1 else c
+        if v_key not in nodes:
+            if vc.size == 1 and vc[0] == 0.0 and zero_speed is not None:
+                nodes[v_key] = zero_speed
+            else:
+                nodes[v_key] = [npoly.polyval(t + s * dt * vc, dcoef) for s in (0.5, 1.0)]
+        dg_mid, dg_end = nodes[v_key]
+        two_k2 = ma2 * dg_mid
+        two_k2 *= 2.0
+        incr = k1s[a2_key] + two_k2
+        incr += two_k2
+        incr += ma2 * dg_end
+        incr *= dt / 6.0
+        np.add(x, incr, out=out[1:d, c])
+        np.add(pts[0], (dt / 6.0) * (ma2 + 2.0 * ma2 + 2.0 * ma2 + ma2), out=out[0, c])
         np.add(t, (dt / 6.0) * (vc + 2.0 * vc + 2.0 * vc + vc), out=out[d, c])
     return out
 

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from ccradon import calibration, ccball
 from ccradon.ccball import (
+    JOB_SHIFT,
     ComparabilityWindow,
+    _box_index,
+    _farthest_in_box,
     _farthest_per_key,
     _integrate_paths,
     default_tau,
@@ -170,14 +174,27 @@ def _lexsort_first_of_group(keys, dist):
 class TestFarthestPerKey:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 4)), min_size=1, max_size=60),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 4)),
+            min_size=1, max_size=60,
+        ),
     )
     def test_matches_lexsort_rule(self, rows):
-        # few keys and few distance values, so exact ties are common
-        keys = np.array([k for k, _ in rows], dtype=np.int64)
-        dist = np.array([0.25 * d for _, d in rows])
-        got = _farthest_per_key(keys, dist)
-        assert got.tolist() == _lexsort_first_of_group(keys, dist).tolist()
+        # (job, x offset, t offset, distance) rows with few values, so exact
+        # ties are common.  The sort on packed (job, cell) keys, and the dense
+        # table and the sort on the box index, pick the same points in the
+        # same order: the box index orders like the packed keys.
+        job = np.array([r[0] for r in rows], dtype=np.int64)
+        rel = np.array([[r[1] for r in rows], [r[2] for r in rows]], dtype=np.int64)[:, None, :]
+        dist = np.array([0.25 * r[3] for r in rows])
+        keys = encode_cells(rel[:, 0].T) | (job << JOB_SHIFT)
+        want = _lexsort_first_of_group(keys, dist).tolist()
+        assert _farthest_per_key(keys, dist).tolist() == want
+        idx, box = _box_index(rel.copy(), job, 3)
+        assert idx.min() >= 0 and idx.max() < box
+        for factor in (1 << 40, 0):  # every box dense, every box sorted
+            with mock.patch.object(ccball, "DENSE_BOX_FACTOR", factor):
+                assert _farthest_in_box(idx, dist, box).tolist() == want, factor
 
     def test_equidistant_points_in_one_refined_cell(self):
         # two distinct points, same refined cell, the same distance to the
@@ -189,6 +206,15 @@ class TestFarthestPerKey:
             dist = np.sum(pool.T ** 2, axis=1)
             assert keys[0] == keys[1] and dist[0] == dist[1]
             assert _farthest_per_key(keys, dist).tolist() == [0]
+            assert _farthest_in_box(np.zeros(2, dtype=np.int64), dist, 1).tolist() == [0]
+
+
+def test_box_index_range_named():
+    # four offset axes spanning 2^16 cells each make a 2^64-cell box
+    rel = np.array([[-(1 << 15), (1 << 15) - 1]] * 4, dtype=np.int64)[:, None, :]
+    with pytest.raises(ConfigError, match=r"dedup box index out of int64 range: the box needs < 2\^63 cells, "
+                                          r"got 18446744073709551616"):
+        _box_index(rel, np.zeros(2, dtype=np.int64), 1)
 
 
 def test_diagnostics_count_the_fixpoint(parabola):
@@ -242,6 +268,17 @@ def test_reach_balls_equal_per_centre_runs(models, name, centers, d1, d2, h):
         assert [ball.truncated for ball in balls] == [True, False, True]
 
 
+@pytest.mark.parametrize("name, centers, d1, d2, h", BATCHES, ids=[b[0] for b in BATCHES])
+def test_sorted_dedup_does_not_change_the_ball(models, name, centers, d1, d2, h, monkeypatch):
+    # DENSE_BOX_FACTOR = 0 sends every round to the sort; the box index and
+    # every pick are the same as on the dense table
+    dense = reach_balls(models[name], centers, d1, d2, h)
+    monkeypatch.setattr(ccball, "DENSE_BOX_FACTOR", 0)
+    for want, got in zip(dense, reach_balls(models[name], centers, d1, d2, h)):
+        _assert_same_ball(got, want)
+        assert np.array_equal(got.box_cells_per_round, want.box_cells_per_round)
+
+
 def test_reach_balls_split_into_batches(parabola, monkeypatch):
     # nine centres run as two fixpoints, of MAX_BATCH = 8 jobs and of 1
     centers = [(0.1 * k - 0.4, 0.05 * k, 0.0) for k in range(9)]
@@ -266,6 +303,20 @@ def test_packing_limit_named_by_reach_ball(models):
     # a four-axis lattice packs |index| < 2^14: h = 2^-15 puts x1 = 0.75 at 24576
     with pytest.raises(ConfigError, match=r"4-axis lattice keys need \|index\| < 2\^14, got max \|index\| 24576"):
         reach_ball(models["cubic"], (0.75, 0.0, 0.0, 0.0), 2.0 ** -12, 2.0 ** -12, 2.0 ** -15)
+
+
+def test_refined_cells_need_no_key_packing(cubic):
+    # refined cells at h/4 = 2^-15 put x1 = 0.6 at index 19661, past the
+    # 2^14 a four-axis key packs, while the ball's own cells at h pack; the
+    # fields do not depend on x, so the ball is the x1 = 0.1 ball moved by
+    # 0.5 / h = 4096 cells
+    h = 2.0 ** -13
+    far = reach_ball(cubic, (0.6, 0.0, 0.0, 0.0), 2.0 ** -11, 2.0 ** -11, h)
+    near = reach_ball(cubic, (0.1, 0.0, 0.0, 0.0), 2.0 ** -11, 2.0 ** -11, h)
+    moved = near.cells.cells.copy()
+    moved[:, 0] += 4096
+    assert far.cells.n_cells == 89
+    assert np.array_equal(far.cells.cells, moved)
 
 
 class TestMcBall:

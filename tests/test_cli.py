@@ -53,6 +53,9 @@ class TestBallCommand:
         assert sum(diag["new_cells_per_round"]) + 1 == ball["n_cells"]
         assert min(diag["active_per_round"]) > 0
         assert diag["dropped_per_round"] == [0] * ball["rounds"]
+        # the dedup box holds one cell per representative at least
+        assert len(diag["box_cells_per_round"]) == ball["rounds"]
+        assert all(box >= kept for box, kept in zip(diag["box_cells_per_round"], diag["active_per_round"]))
         assert "diagnostics" not in ball
 
     def test_missing_h_names_field(self, runner, tmp_path):

@@ -59,6 +59,30 @@ def exact_constant_control_step(curve, x, t, a1, a2, tau):
     return out + [tn]
 
 
+EXTRA_CURVES = {
+    "degree8": [[0, 1], [0, 0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9]],
+    "signed_zero": [[0, 1], [-0.0, -0.0, 1]],
+}
+
+
+def textbook_rk4_step(curve, z, a1, a2, dt):
+    """One classical RK4 step of phi' = a1 V1 + a2 V2 from the point z.
+
+    V1 = d/dt and V2 = d/dt - sum_i gamma_i'(t) d/dx_i, with gamma_i' from
+    np.polyval; k1..k4 and their weighted sum in the classical order.
+    """
+    dgammas = [np.polyder(np.array(coeffs[::-1], dtype=float)) for coeffs in curve]
+
+    def field(p):
+        return np.array([-a2 * np.polyval(dg, p[-1]) for dg in dgammas] + [a1 + a2])
+
+    k1 = field(z)
+    k2 = field(z + dt / 2 * k1)
+    k3 = field(z + dt / 2 * k2)
+    k4 = field(z + dt * k3)
+    return z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def fifth_derivative_bound(coeffs, t_abs_max):
     """Upper bound of |gamma_i^(5)| on |t| <= t_abs_max from the coefficients."""
     return sum(
@@ -144,9 +168,33 @@ class TestFlow:
                 per_point = rk4_many(model, pts, np.full(7, a1[c]), np.full(7, a2[c]), tau)[:, 0]
                 assert per_point.tobytes() == one.tobytes(), (name, c)
 
+    @pytest.mark.parametrize("name", ["parabola", "quartic", "cubic", "degree8", "signed_zero"])
+    def test_rk4_many_is_textbook_rk4_bit_for_bit(self, models, rng, name):
+        # scalar control rows (the nine extreme pairs, speed 0 among them) and
+        # one control per point; the points include signed zeros of x and t.
+        # The -0.0 coefficient makes gamma_2'(-0.0) = -0.0 but gamma_2'(+0.0)
+        # = +0.0, so a speed-0 node t + 0.0 differs from t there.
+        model = models.get(name) or load_model({"curve": EXTRA_CURVES[name]})
+        n = 12
+        pts = rng.uniform(-0.5, 0.5, size=(model.dim_z, n))
+        pts[:, :4] = [[0.0, -0.0, 0.0, -0.0]] * model.d + [[0.0, -0.0, -0.0, 0.0]]
+        a1 = rng.uniform(-0.5, 0.5, size=n)
+        a2 = rng.uniform(-0.5, 0.5, size=n)
+        a1[:3], a2[:3] = 0.0, 0.0
+        a1[3:6] = -a2[3:6]
+        for dt in (1.0 / 64.0, -0.125, 1.0 / 3.0):
+            for d1, d2 in ((0.125, 0.125), (0.3, 0.0625)):
+                rows = rk4_many(model, pts, np.repeat([-d1, 0.0, d1], 3)[:, None], np.tile([-d2, 0.0, d2], 3)[:, None], dt)
+                for c, (b1, b2) in enumerate(zip(np.repeat([-d1, 0.0, d1], 3), np.tile([-d2, 0.0, d2], 3))):
+                    want = np.array([textbook_rk4_step(model.curve, pts[:, i], b1, b2, dt) for i in range(n)]).T
+                    assert np.ascontiguousarray(rows[:, c]).tobytes() == want.tobytes(), (name, dt, d1, d2, c)
+            per_point = rk4_many(model, pts, a1, a2, dt)[:, 0]
+            want = np.array([textbook_rk4_step(model.curve, pts[:, i], a1[i], a2[i], dt) for i in range(n)]).T
+            assert per_point.tobytes() == want.tobytes(), (name, dt)
+
     def test_rk4_step_within_simpson_bound_for_degree_8(self, rng):
         # Simpson's rule on [t, t + v tau]: |error in x_i| <= |a2| tau (|v| tau)^4 / 2880 max|gamma_i^(5)|
-        model = load_model({"curve": [[0, 1], [0, 0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9]]})
+        model = load_model({"curve": EXTRA_CURVES["degree8"]})
         tau = 0.125
         worst = 0.0
         for _ in range(64):
