@@ -184,8 +184,9 @@ class TestFlow:
         a1[3:6] = -a2[3:6]
         for dt in (1.0 / 64.0, -0.125, 1.0 / 3.0):
             for d1, d2 in ((0.125, 0.125), (0.3, 0.0625)):
-                rows = rk4_many(model, pts, np.repeat([-d1, 0.0, d1], 3)[:, None], np.tile([-d2, 0.0, d2], 3)[:, None], dt)
-                for c, (b1, b2) in enumerate(zip(np.repeat([-d1, 0.0, d1], 3), np.tile([-d2, 0.0, d2], 3))):
+                b1s, b2s = np.repeat([-d1, 0.0, d1], 3), np.tile([-d2, 0.0, d2], 3)
+                rows = rk4_many(model, pts, b1s[:, None], b2s[:, None], dt)
+                for c, (b1, b2) in enumerate(zip(b1s, b2s)):
                     want = np.array([textbook_rk4_step(model.curve, pts[:, i], b1, b2, dt) for i in range(n)]).T
                     assert np.ascontiguousarray(rows[:, c]).tobytes() == want.tobytes(), (name, dt, d1, d2, c)
             per_point = rk4_many(model, pts, a1, a2, dt)[:, 0]
