@@ -4,7 +4,7 @@ curve-integration Radon transforms on polynomial model geometries."""
 from . import errors
 from .ccball import ComparabilityWindow, mc_ball, reach_ball
 from .exponents import c_from_pq, c_from_pqr, classify_triple, estimate_region
-from .geometry import ModelFamily, ZPoint, builtin_models, load_model
+from .geometry import ModelFamily, builtin_models, load_model
 from .lattice import LatticeSet
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "ModelFamily",
-    "ZPoint",
     "builtin_models",
     "load_model",
     "LatticeSet",

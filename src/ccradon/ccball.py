@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ChartDomainError, ConfigError, ResolutionError
 from .geometry import ModelFamily, as_zarray, rk4_many
 from .lattice import LatticeSet, decode_keys, encode_cells, points_to_cells
-from .mixednorm import conjugate, mixed_norm_indicator
+from .mixednorm import conjugate, mixed_norm_indicator, reciprocal
 
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
@@ -368,17 +368,15 @@ def _integrate_paths(model: ModelFamily, z0: np.ndarray, controls: np.ndarray) -
     return pts.T, alive
 
 
-def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, seed: int = 0, h: float | None = None) -> McBall:
+def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, seed: int = 0, *, h: float) -> McBall:
     """Random-control oracle for reach_ball.
 
     Controls are piecewise constant on MC_CONTROL_PIECES intervals, sampled
     uniformly from the product box.  Endpoints are binned into cells of edge
-    ``h`` (default min(d1,d2)/8).
+    ``h``.
     """
     if paths < 1000:
         raise ConfigError("mc_ball requires paths >= 1000")
-    if h is None:
-        h = min(delta1, delta2) / 8.0
     _check_radii(delta1, delta2, h)
     z0 = as_zarray(z0, model.dim_z)
     rng = np.random.default_rng(seed)
@@ -401,10 +399,6 @@ def slab_profile(ball: BallEstimate) -> list:
     """Pairs (t, f(t)): d-dimensional measure of the ball in each Pi-slab of width h."""
     ts = (ball.pi_cols + 0.5) * ball.h
     return list(zip(ts.tolist(), ball.slab_values.tolist()))
-
-
-def _inv(e: float) -> float:
-    return 0.0 if e == math.inf else 1.0 / e
 
 
 def lemma_balls_report(
@@ -441,7 +435,7 @@ def lemma_balls_report(
             raise ResolutionError(
                 f"{name} of the ball has {proj.n_cells} cells (< MIN_PROJ_CELLS = {MIN_PROJ_CELLS}); refine h"
             )
-    iq, ir, ip = _inv(q), _inv(r), _inv(p)
+    iq, ir, ip = reciprocal(q), reciprocal(r), reciprocal(p)
     qc, rc = conjugate(q), conjugate(r)
     norm = mixed_norm_indicator(b1.proj2, qc, rc)
     ratio_i = b2.volume / b1.volume

@@ -319,6 +319,12 @@ class PartitionFamily:
     verdicts: dict = field(default_factory=dict)
 
 
+def _in_window(u: np.ndarray, n: int, L: float) -> np.ndarray:
+    """Mask of the Pi positions ``u`` in Omega^n's window [(n-1)L, (n+2)L),
+    both ends lowered by 1e-15."""
+    return (u >= (n - 1) * L - 1e-15) & (u < (n + 2) * L - 1e-15)
+
+
 def partition(
     model: ModelFamily,
     fibs: PiFibers,
@@ -351,7 +357,7 @@ def partition(
     zc = np.column_stack([fibs.x_cells[rows], fibs.u_cells - fibs.x_cells[rows, 0]])
     y_keys = encode_cells(pi2_cells(model, zc, h))
 
-    f_cols = F.cells[:, 0]
+    f_u = F.cells[:, 0] * h
     e_counts, f_counts, omega, alpha1, alpha2 = {}, {}, {}, {}, {}
     pair_sum = 0.0
     omega_lower_ok = True
@@ -364,12 +370,10 @@ def partition(
         if not members.size:
             continue
         e_counts[n] = members.size
-        w_lo, w_hi = (n - 1) * L, (n + 2) * L
-        col_mask = (f_cols * h >= w_lo - 1e-15) & (f_cols * h < w_hi - 1e-15)
-        f_counts[n] = int(col_mask.sum())
+        f_counts[n] = int(_in_window(f_u, n, L).sum())
         is_member = np.zeros(fibs.n, dtype=bool)
         is_member[members] = True
-        cells = np.flatnonzero(is_member[rows] & (u_h >= w_lo - 1e-15) & (u_h < w_hi - 1e-15))
+        cells = np.flatnonzero(is_member[rows] & _in_window(u_h, n, L))
         om_measure = cells.size * h ** (d + 1)
         omega[n] = om_measure
         pair_sum += om_measure
@@ -440,11 +444,9 @@ def delta1_lower_bound_check(
         raise ConfigError(f"n = {n} is not an interval of the partition (n_values {part.n_values})")
     h = fibs.h
     L = part.interval_length
-    w_lo, w_hi = (n - 1) * L, (n + 2) * L
     in_subset = np.zeros(fibs.n, dtype=bool)
     in_subset[np.asarray(subset_indices, dtype=np.int64)] = True
-    u_h = fibs.u_cells * h
-    inside = in_subset[fibs.rows] & (u_h >= w_lo - 1e-15) & (u_h < w_hi - 1e-15)
+    inside = in_subset[fibs.rows] & _in_window(fibs.u_cells * h, n, L)
     omega_n = part.omega_measure[n]
     if not inside.any() or omega_n == 0:
         raise DegenerateError(f"the subset carries no cells of Omega^n for n = {n}")

@@ -27,6 +27,7 @@ INSIDE_RATE = 0.1
 OUTSIDE_RATE = 0.6
 DEFAULT_MARGIN = 0.1
 MIN_BALL_CELLS = 10  # fewer cells in any ball job marks the region resolution-limited
+DELTA_CAP = 0.25  # largest companion radius on a region path
 SNAP_TOL_CAP = 0.2  # largest |fitted - lattice| rate that still snaps
 
 
@@ -269,21 +270,21 @@ class RegionEstimate:
         return rows
 
 
-def _region_sequences(windows, delta_grid, delta_cap=0.25) -> list:
+def _region_sequences(windows, delta_grid) -> list:
     """Radius paths along window edges, one RatioSequence skeleton each.
 
     A path keeps the grid points whose companion radius A g^theta stays under
-    the cap, so it obeys a single power law; where the cap binds at every
+    DELTA_CAP, so it obeys a single power law; where the cap binds at every
     grid point, it becomes a fixed-companion sweep (exponent 0).
     """
     gs = sorted(delta_grid, reverse=True)
     seqs = []
     for w in windows:
         pts = [(g, w.bigA * g ** w.theta) for g in gs]
-        pts = [(g, other) for g, other in pts if other <= delta_cap + 1e-12]
+        pts = [(g, other) for g, other in pts if other <= DELTA_CAP + 1e-12]
         exps = (1.0, w.theta)
         if not pts:
-            pts, exps = [(g, delta_cap) for g in gs], (1.0, 0.0)
+            pts, exps = [(g, DELTA_CAP) for g in gs], (1.0, 0.0)
         for o in (0, 1):
             seq = RatioSequence(window=w, orientation=o, e1=exps[o], e2=exps[1 - o])
             for g, other in pts:

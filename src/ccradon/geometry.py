@@ -30,38 +30,9 @@ MAX_CURVE_DEGREE = 8
 STEPS_PER_UNIT_TIME = 32
 
 
-@dataclass(frozen=True)
-class ZPoint:
-    """A point (x, t) of the incidence manifold in chart coordinates."""
-
-    x: tuple
-    t: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.x) + [self.t], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "ZPoint":
-        arr = np.asarray(arr, dtype=float)
-        return cls(x=tuple(arr[:-1].tolist()), t=float(arr[-1]))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a base point, components in chart order (x..., t)."""
-
-    base: ZPoint
-    components: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
-
-
 def as_zarray(z, dim_z: int) -> np.ndarray:
-    if isinstance(z, ZPoint):
-        arr = z.as_array()
-    else:
-        arr = np.asarray(z, dtype=float).ravel()
+    """A point (x..., t) in chart coordinates as a float (d+1,) array."""
+    arr = np.asarray(z, dtype=float).ravel()
     if arr.shape != (dim_z,):
         raise ConfigError(f"expected a point with {dim_z} coordinates, got shape {arr.shape}")
     return arr
@@ -214,15 +185,11 @@ def load_model(source) -> ModelFamily:
 # --------------------------------------------------------------------------
 
 def eval_fields(model: ModelFamily, z) -> tuple:
-    """(V1(z), V2(z)) in chart components; V_j spans the kernel of Dpi_j."""
+    """(V1(z), V2(z)) as (d+1,) arrays in chart components; V_j spans the kernel of Dpi_j."""
     arr = as_zarray(z, model.dim_z)
     if not model.contains(arr):
         raise ChartDomainError(f"point {arr.tolist()} outside chart domain")
-    base = ZPoint.from_array(arr)
-    return tuple(
-        TangentVector(base=base, components=tuple(npoly.polyval(arr[-1], _field_matrix(model, j)).tolist()))
-        for j in (1, 2)
-    )
+    return tuple(npoly.polyval(arr[-1], _field_matrix(model, j)) for j in (1, 2))
 
 
 def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarray:
@@ -276,8 +243,8 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
     return out
 
 
-def flow(model: ModelFamily, z, controls, duration: float) -> ZPoint:
-    """Integrate phi' = a1 V1 + a2 V2 for ``duration`` from z.
+def flow(model: ModelFamily, z, controls, duration: float) -> np.ndarray:
+    """Integrate phi' = a1 V1 + a2 V2 for ``duration`` from z; returns the (d+1,) end point.
 
     The chart is checked at STEPS_PER_UNIT_TIME checkpoints per unit time, one
     RK4 step apart; exits are hard errors carrying the checkpoint time.
@@ -298,14 +265,14 @@ def flow(model: ModelFamily, z, controls, duration: float) -> ZPoint:
                 f"trajectory exited chart domain near time {(k + 1) * dt:g}",
                 exit_time=(k + 1) * dt,
             )
-    return ZPoint.from_array(p[:, 0])
+    return p[:, 0]
 
 
 def check_v1_normalization(model: ModelFamily, z, s: float) -> float:
     """|Pi(pi2(flow(z,(1,0),s))) - Pi(pi2(z)) - s|; zero in exact arithmetic."""
     arr = as_zarray(z, model.dim_z)
     moved = flow(model, arr, (1.0, 0.0), s)
-    return float(abs(model.pi_pi2(moved.as_array()) - model.pi_pi2(arr) - s))
+    return float(abs(model.pi_pi2(moved) - model.pi_pi2(arr) - s))
 
 
 # --------------------------------------------------------------------------
@@ -355,18 +322,15 @@ def _poly_bracket(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def lie_bracket_exact(model: ModelFamily, z, i: int, j: int) -> TangentVector:
-    """[V_i, V_j](z) from the polynomial field representation."""
+def lie_bracket_exact(model: ModelFamily, z, i: int, j: int) -> np.ndarray:
+    """[V_i, V_j](z) as a (d+1,) array, from the polynomial field representation."""
     arr = as_zarray(z, model.dim_z)
     mat = _poly_bracket(_field_matrix(model, i), _field_matrix(model, j))
-    comp = npoly.polyval(arr[-1], mat)
-    return TangentVector(base=ZPoint.from_array(arr), components=tuple(comp.tolist()))
+    return npoly.polyval(arr[-1], mat)
 
 
-def lie_bracket(model: ModelFamily, z, i: int, j: int, step: float = 1e-3) -> TangentVector:
-    """[V_i, V_j](z) by symmetric finite differences of the field components."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ConfigError("field indices must be in {1, 2}")
+def lie_bracket(model: ModelFamily, z, i: int, j: int, step: float = 1e-3) -> np.ndarray:
+    """[V_i, V_j](z) as a (d+1,) array, by symmetric finite differences of the field components."""
     if step <= 0:
         raise ConfigError("finite-difference step must be positive")
     arr = as_zarray(z, model.dim_z)
@@ -378,8 +342,7 @@ def lie_bracket(model: ModelFamily, z, i: int, j: int, step: float = 1e-3) -> Ta
     vj = field(j, arr)
     dvj_vi = (field(j, arr + step * vi) - field(j, arr - step * vi)) / (2.0 * step)
     dvi_vj = (field(i, arr + step * vj) - field(i, arr - step * vj)) / (2.0 * step)
-    comp = dvj_vi - dvi_vj
-    return TangentVector(base=ZPoint.from_array(arr), components=tuple(comp.tolist()))
+    return dvj_vi - dvi_vj
 
 
 def _bracket_generators(model: ModelFamily, depth: int, v1_scale: float = 1.0, v2_scale: float = 1.0) -> list:

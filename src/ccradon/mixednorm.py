@@ -28,6 +28,11 @@ def conjugate(e: float) -> float:
     return e / (e - 1.0)
 
 
+def reciprocal(e: float) -> float:
+    """1/e with 1/infinity = 0."""
+    return 0.0 if e == INF else 1.0 / float(e)
+
+
 @dataclass(frozen=True)
 class MixedExponents:
     """An (outer, inner) exponent pair q, r in [1, inf]."""
@@ -51,10 +56,6 @@ class GridFunctionY:
     h: float
     origin: tuple
     values: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.values.ndim
 
     def norm(self, q: float, r: float) -> float:
         return mixed_norm_grid(self.values, self.h, q, r)
@@ -123,8 +124,7 @@ def holder_lower_bound(F: LatticeSet, q: float, r: float) -> HolderBound:
     _, counts = F.first_axis_histogram()
     pi_measure = len(counts) * F.h
     vol = F.measure
-    inv_rc = 0.0 if rc == INF else 1.0 / rc
-    inv_qc = 0.0 if qc == INF else 1.0 / qc
+    inv_rc, inv_qc = reciprocal(rc), reciprocal(qc)
     rhs = vol ** inv_rc * pi_measure ** (inv_qc - inv_rc)
     min_slice = counts.min() * F.h ** (F.dim - 1)
     if F.dim >= 2:

@@ -26,8 +26,8 @@ import numpy as np
 from .ccball import BallEstimate, pi2_cells
 from .errors import ConfigError, DegenerateError, ResolutionError
 from .geometry import ModelFamily
-from .lattice import LatticeSet, encode_cells
-from .mixednorm import GridFunctionY, conjugate, mixed_norm_indicator
+from .lattice import LatticeSet, encode_cells, points_to_cells
+from .mixednorm import GridFunctionY, conjugate, mixed_norm_indicator, reciprocal
 
 MAX_DENSE_CELLS = 1 << 26
 SHIFT_TILE_BYTES = 1 << 18  # bytes of padded output rows that _shift_sum sums per tile
@@ -230,7 +230,7 @@ def incidence_set(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window=(-1
 def rwt_ratio(model: ModelFamily, E: LatticeSet, F: LatticeSet, p, q, r, t_window=(-1.0, 1.0)) -> float:
     """<T chi_E, chi_F> / (|E|^{1/p} ||chi_F||_{q', r'})."""
     pr = pairing(model, E, F, t_window)
-    ip = 0.0 if p == math.inf else 1.0 / float(p)
+    ip = reciprocal(p)
     norm = mixed_norm_indicator(F, conjugate(float(q)), conjugate(float(r)))
     denom = E.measure ** ip * norm
     if denom == 0:
@@ -327,7 +327,7 @@ def necessity_union(
     input ball with the tested ratio
     |U| / (|pi1 U|^{1/p} ||chi_{pi2 U}||_{q', r'}).
     """
-    ip = 0.0 if p == math.inf else 1.0 / float(p)
+    ip = reciprocal(p)
     qc, rc = conjugate(float(q)), conjugate(float(r))
     records = []
     for n, ball in enumerate(balls):
@@ -336,9 +336,7 @@ def necessity_union(
         h = ball.h
         span = int(ball.pi_cols.max() - ball.pi_cols.min()) + 1
         spacing = span + 1
-        x1_lo, x1_hi = model.domain[0]
-        idx_lo = int(math.floor(x1_lo / h + 0.5)) + 1
-        idx_hi = int(math.floor(x1_hi / h + 0.5)) - 1
+        idx_lo, idx_hi = (points_to_cells(model.domain[0], h) + (1, -1)).tolist()
         ball_x1_max = int(ball.cells.cells[:, 0].max())
         ball_x1_min = int(ball.cells.cells[:, 0].min())
         fit = 1 + (idx_hi - ball_x1_max) // spacing

@@ -157,17 +157,17 @@ def test_criterion_02_bracket_condition():
         # cubic brackets are polynomial of low enough degree that the
         # difference quotient is exact)
         z = (0.0, 0.0, 0.25)
-        exact = np.asarray(lie_bracket_exact(QUARTIC, z, 1, 2).components)
+        exact = lie_bracket_exact(QUARTIC, z, 1, 2)
         errs = [
-            np.abs(np.asarray(lie_bracket(QUARTIC, z, 1, 2, step=2.0 ** -k).components) - exact).max()
+            np.abs(lie_bracket(QUARTIC, z, 1, 2, step=2.0 ** -k) - exact).max()
             for k in range(4, 9)
         ]
         slopes = np.diff(-np.log2(errs))
         notes.append(f"quartic fd slopes {min(slopes):.3f}..{max(slopes):.3f} >= 1.9")
         assert np.all(slopes >= 1.9)
         for model in (PARABOLA, CUBIC):
-            fd = np.asarray(lie_bracket(model, (0.1,) * (model.d + 1), 1, 2, step=1e-3).components)
-            ex = np.asarray(lie_bracket_exact(model, (0.1,) * (model.d + 1), 1, 2).components)
+            fd = lie_bracket(model, (0.1,) * (model.d + 1), 1, 2, step=1e-3)
+            ex = lie_bracket_exact(model, (0.1,) * (model.d + 1), 1, 2)
             notes.append(f"d = {model.d}: max |fd - exact| {np.abs(fd - ex).max():.1e} (allclose, atol 1e-9)")
             assert np.allclose(fd, ex, atol=1e-9)
         elapsed = time.time() - t0

@@ -337,7 +337,7 @@ class TestMcBall:
 
     def test_requires_paths(self, parabola):
         with pytest.raises(ConfigError):
-            mc_ball(parabola, (0.0, 0.0, 0.0), 0.1, 0.1, paths=10, seed=0)
+            mc_ball(parabola, (0.0, 0.0, 0.0), 0.1, 0.1, paths=10, seed=0, h=0.1 / 8)
 
     def test_deterministic_given_seed(self, parabola):
         d = 2.0 ** -4

@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from ccradon import calibration
 from ccradon.cli import main
 
 BALL_SCENARIO = {
@@ -110,6 +112,23 @@ class TestBallCommand:
         result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    def test_mc_disagreement_fails_with_measured_value(self, runner, tmp_path):
+        # at h = 2^-7 a 5,000-path cloud leaves most cells of the ball empty,
+        # so the mc volume falls below MC_AGREEMENT_BAND
+        bad = json.loads(json.dumps(BALL_SCENARIO))
+        bad["parameters"].update({"delta1": 0.125, "delta2": 0.125, "h": 2.0 ** -7})
+        scen = write_scenario(tmp_path, bad)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ball", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "ball_report.json").read_text())
+        agreement = report["mc"]["agreement"]
+        lo, hi = calibration.MC_AGREEMENT_BAND
+        assert not lo <= agreement <= hi
+        assert report["passed"] is False
+        assert report["failures"] == [f"mc_agreement={agreement:.4g} outside [{lo}, {hi}]"]
+        assert f"mc_agreement={agreement:.4g}" in result.output
+
 
 class TestModelCommands:
     def test_list(self, runner):
@@ -145,6 +164,30 @@ def test_lemma_check_rejects_h_overrides(runner, tmp_path, key, value):
     assert f"parameters.{key}" in result.output
     assert "default_h_rule" in result.output
     assert not (out / "lemma_report.json").exists()
+
+
+def test_lemma_check_region_sweep_scenario(runner, tmp_path):
+    # the lemma-check scenario of the region_sweep benchmark workload
+    scenario = json.loads(json.dumps(LEMMA_SCENARIO))
+    scenario["parameters"]["grid"]["theta_list"] = [0.5, 0.75, 1.0]
+    scen = write_scenario(tmp_path, scenario)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        result = runner.invoke(main, ["lemma-check", "--scenario", scen, "--out", str(out), "--threads", threads])
+        assert result.exit_code == 0, result.output
+        outputs.append((out / "lemma_report.json").read_bytes() + (out / "lemma_ratios.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    report = json.loads((tmp_path / "t1" / "lemma_report.json").read_text())
+    assert report["passed"] is True and report["failures"] == []
+    with open(tmp_path / "t1" / "lemma_ratios.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 18
+    assert {float(row["theta"]) for row in rows} == {0.5, 0.75, 1.0}
+    for row in rows:
+        lo, hi = calibration.LEMMA_BANDS[row["ratio"]]
+        assert (float(row["band_lo"]), float(row["band_hi"])) == (lo, hi)
+        assert lo <= float(row["value"]) <= hi and row["ok"] == "1"
 
 
 class TestInequalityCommand:
@@ -279,8 +322,53 @@ class TestNecessityCommand:
         assert all(rec["n_translates"] >= 2 for rec in report["records"])
         assert (out / "necessity.csv").read_text().splitlines()[0] == "n,delta1,delta2,n_translates,ratio"
 
+    def test_growth(self, runner, tmp_path):
+        # the necessity scenario of the transform_decompose benchmark workload
+        scen = write_scenario(
+            tmp_path,
+            {
+                "kind": "necessity",
+                "model": "parabola",
+                "parameters": {
+                    "triple": [1.15, 1, "inf"],
+                    "expect_growth": True,
+                    "delta_list": [[0.125, 0.125], [0.0625, 0.0625], [0.03125, 0.03125]],
+                },
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["necessity", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "necessity_report.json").read_text())
+        assert report["passed"] is True
+        (growth,) = report["growth_n_plus_2"]
+        assert growth >= 2.0
+        ratios = [rec["ratio"] for rec in report["records"]]
+        assert growth == ratios[2] / ratios[0]
+
 
 class TestClassifyCommand:
+    def test_interior_triple(self, runner, tmp_path):
+        # the windows and delta grid of the region_sweep benchmark workload
+        scen = write_scenario(
+            tmp_path,
+            {
+                "kind": "classify",
+                "model": "parabola",
+                "parameters": {
+                    "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
+                    "delta_grid": [0.125, 0.0625, 0.03125],
+                    "triples": [{"triple": ["5/3", 3, 3], "expect": "interior"}],
+                },
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["classify", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "classify_report.json").read_text())
+        assert report["passed"] is True
+        assert report["results"] == [{"triple": ["5/3", "3", "3"], "label": "interior", "ok": True}]
+
     def test_unexpected_ordering_error_fails(self, runner, tmp_path):
         # (4, 3, 2) violates the exponent ordering, so the triple's label is
         # ordering-error; an entry that expects another label must fail by name
