@@ -225,18 +225,19 @@ def _box_index(rel: np.ndarray, job: np.ndarray, n_jobs: int) -> tuple:
 
 def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau: float, z0s: np.ndarray,
             h_rep: float) -> tuple:
-    """One round's candidate pool: every active point stepped under every control.
+    """One round's candidate pool: every active point stepped under every
+    pair of the control grid ``a1`` x ``a2`` (one ``rk4_many`` block).
 
     ``job`` is each active point's column of ``z0s``, the batch's centres,
-    in ascending order.
-    Returns the pool as column storage (d+1, m n), control-major, with each
-    point's box index of its refined cell (``_box_index``), the box's cell
-    count, each point's squared distance to its centre and the chart mask.
-    Cells and distances run on chunks of ``ROUND_CHUNK`` active points so
-    that temporaries stay cache-sized.  Points outside the chart take their
-    centre's cell, so they do not widen the box, and the caller drops them.
+    in ascending order.  Returns the pool as column storage (d+1, m n),
+    control-major in grid order, with each point's box index of its refined
+    cell (``_box_index``), the box's cell count, each point's squared
+    distance to its centre and the chart mask.  Cells and distances run on
+    chunks of ``ROUND_CHUNK`` active points so that temporaries stay
+    cache-sized.  Points outside the chart take their centre's cell, so
+    they do not widen the box, and the caller drops them.
     """
-    dim, m, n = model.dim_z, a1.shape[0], active.shape[1]
+    dim, m, n = model.dim_z, a1.shape[0] * a2.shape[0], active.shape[1]
     pool = rk4_many(model, active, a1, a2, tau)
     home = points_to_cells(z0s, h_rep)
     rel = np.empty((dim, m, n), dtype=np.int64)
@@ -274,8 +275,8 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
     dedup resolution tracks the per-round stride (clamped to [h/4, h/2]).
     Cells leaving the chart are dropped and flagged, never clamped.
 
-    Each round steps every active point under the nine controls into one
-    column-storage pool, (d+1, 9n), control-major; pool order breaks
+    Each round steps every active point under the 3 x 3 control grid into
+    one column-storage pool, (d+1, 9n), control-major; pool order breaks
     distance ties in the dedup (see ``_expand`` and ``_farthest_in_box``).
     Centres share the rounds and controls, so up to ``MAX_BATCH`` of them run
     as one fixpoint over their concatenated actives.  Refined cells are
@@ -292,8 +293,7 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
             raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
     rounds = math.ceil(1.0 / default_tau(delta1, delta2, h) - 1e-12)
     tau = 1.0 / rounds
-    a1 = np.repeat([-delta1, 0.0, delta1], 3)[:, None]
-    a2 = np.tile([-delta2, 0.0, delta2], 3)[:, None]
+    a1, a2 = np.array([[-delta1, 0.0, delta1], [-delta2, 0.0, delta2]])[:, :, None]  # (3, 1) grid axes
     stride = (delta1 + delta2) * tau
     h_rep = min(max(stride, h / 4.0), h / 2.0)
 

@@ -241,7 +241,7 @@ def run_region(model, params: dict, out_dir: Path, seed, threads: int):
         if not ok:
             failures.append(f"node ({expect['c1']}, {expect['c2']}): want {expect['label']}, got {got}")
         checks.append({"c1": expect["c1"], "c2": expect["c2"], "want": expect["label"], "got": got, "ok": ok})
-    return {"meta": _sanitize(region.meta), "checks": checks, "failures": failures}, None
+    return {"meta": _sanitize(region.meta), "checks": checks, "failures": failures}, {"jobs": region.jobs}
 
 
 def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
@@ -263,7 +263,7 @@ def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
         if expect not in (None, label):
             failures.append(f"triple {trip}: want {expect}, got {label}")
     return {"resolved": {"margin": margin}, "meta": _sanitize(region.meta), "results": results,
-            "failures": failures}, None
+            "failures": failures}, {"jobs": region.jobs}
 
 
 def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):

@@ -9,6 +9,7 @@ decay rates are scale-free, unlike lattice volume constants.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -241,6 +242,7 @@ class RegionEstimate:
     edge: np.ndarray             # (n1, n2) bool: inside nodes touching non-inside
     sequences: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    jobs: list = field(default_factory=list)  # one record per reach_balls job, for the metadata sidecar
 
     def node_index(self, c1: float, c2: float) -> tuple:
         i = int(np.argmin(np.abs(self.c1_values - c1)))
@@ -326,7 +328,8 @@ def estimate_region(
     h) runs once: the unique z-samples of one (d1, d2, h) go to
     ``reach_balls`` as one job (centres, d1, d2, h), through
     ``pool_map(fn, jobs)``: the builtin ``map`` by default, or a pooled map
-    with the same result order.
+    with the same result order.  ``jobs`` records each job's radii, h,
+    rounds, cells per centre and seconds, for the sidecar only.
     """
     if windows is None:
         windows = default_windows()
@@ -350,11 +353,15 @@ def estimate_region(
     jobs = [(tuple(centres), *r) for r in radii]
 
     def run(job):
-        return [(ball.volume, ball.cells.n_cells) for ball in reach_balls(model, *job)]
+        start = time.perf_counter()
+        balls = reach_balls(model, *job)
+        return [(ball.volume, ball.cells.n_cells) for ball in balls], balls[0].rounds, time.perf_counter() - start
 
-    results = {}
-    for (zs, *r), vols in zip(jobs, pool_map(run, jobs)):
-        results.update(((zk, *r), v) for zk, v in zip(zs, vols))
+    results, job_records = {}, []
+    for (zs, d1, d2, h), (vols, rounds, seconds) in zip(jobs, pool_map(run, jobs)):
+        results.update(((zk, d1, d2, h), v) for zk, v in zip(zs, vols))
+        job_records.append({"delta1": d1, "delta2": d2, "h": h, "rounds": rounds, "cells": [n for _, n in vols],
+                            "seconds": seconds})
     resolution_limited = False
     z_spread_ok = True
     for seq in sequences:
@@ -411,6 +418,7 @@ def estimate_region(
             "resolution_limited": resolution_limited,
             "z_spread_ok": z_spread_ok,
         },
+        jobs=job_records,
     )
 
 

@@ -193,54 +193,46 @@ def eval_fields(model: ModelFamily, z) -> tuple:
 
 
 def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarray:
-    """One classical RK4 step of phi' = a1 V1 + a2 V2 for m rows of controls.
+    """One classical RK4 step of phi' = a1 V1 + a2 V2 over a grid of controls.
 
-    ``pts`` is column storage, (d+1, n).  ``a1`` and ``a2`` broadcast to
-    (m, n): an (m, 1) column gives m scalar control pairs, a length-n vector
-    gives one control per point.  Returns (d+1, m, n); block ``[:, c]`` is
-    the step under control row c.
+    ``pts`` is column storage, (d+1, n).  ``a1`` (p, n|1) and ``a2`` (q, n|1)
+    are the grid's axes: a column holds scalar controls, a length-n row one
+    control per point.  Returns (d+1, p q, n); row ``i q + k`` is the step
+    under (a1[i], a2[k]), the order of ``np.repeat(a1, q)``, ``np.tile(a2, p)``.
 
     The fields depend on t only, so k3 == k2 and the step is Simpson's rule
     on gamma' at t, t + dt v/2, t + dt v (v = a1 + a2): exact while gamma has
-    degree <= 4.  gamma_1' == 1, so the x1 row moves like the t row, by -a2
-    in place of v.  gamma'(t) is evaluated once per call, k1 once per
-    distinct scalar a2 and the other two nodes once per distinct scalar
-    speed; at speed 0 both nodes are t itself.  The classical operation
-    order is kept bit for bit.
+    degree <= 4.  gamma_1' == 1, so x1 moves like t, by -a2 in place of v.
+    The grid is one broadcast block, bit for bit in the classical operation
+    order: k1 is shared by every a1, and each Simpson node is one polyval.
     """
     d = model.d
     x, t = pts[1:d], pts[d]  # x2 .. xd; x1 moves like t
-    v = np.atleast_2d(np.add(a1, a2))
-    minus_a2 = np.broadcast_to(-np.atleast_2d(a2), v.shape)
-    out = np.empty((d + 1, v.shape[0], t.shape[0]))
+    a1, a2 = np.atleast_2d(a1), np.atleast_2d(a2)
+    ma2, v = -a2, a1[:, None] + a2  # (q, n|1) and (p, q, n|1)
+    out = np.empty((d + 1, a1.shape[0], a2.shape[0], t.shape[0]))
+    np.add(pts[0], (dt / 6.0) * (ma2 + 2.0 * ma2 + 2.0 * ma2 + ma2), out=out[0])
+    np.add(t, (dt / 6.0) * (v + 2.0 * v + 2.0 * v + v), out=out[d])
+    # rows with a2 == 0 add a signed zero to x: that is x bit for bit unless x holds -0.0
+    live = ma2.any(axis=1)
+    if live.all() or (np.signbit(x) & (x == 0.0)).any():
+        xs = out[1:d]
+    else:
+        out[1:d, :, ~live] = x[:, None, None]
+        ma2, v, xs = ma2[live], v.compress(live, axis=1), None
     dcoef = model._dcoef[:, 1:]  # gamma_2' .. gamma_d'
-    dg_start = npoly.polyval(t, dcoef)  # (d - 1, n) columns
-    # at speed 0 both nodes are t + 0.0, which is t bit for bit unless t holds -0.0
-    zero_speed = None if (np.signbit(t) & (t == 0.0)).any() else (dg_start, dg_start)
-    k1s = {}  # -a2 gamma'(t), shared by the rows of one scalar a2
-    nodes = {}  # gamma' at t + dt v/2 and t + dt v, shared by the rows of one scalar speed
-    for c in range(v.shape[0]):
-        vc, ma2 = v[c], minus_a2[c]
-        a2_key = ma2.tobytes() if ma2.size == 1 else c
-        if a2_key not in k1s:
-            k1s[a2_key] = ma2 * dg_start
-        v_key = vc.tobytes() if vc.size == 1 else c
-        if v_key not in nodes:
-            if vc.size == 1 and vc[0] == 0.0 and zero_speed is not None:
-                nodes[v_key] = zero_speed
-            else:
-                nodes[v_key] = [npoly.polyval(t + s * dt * vc, dcoef) for s in (0.5, 1.0)]
-        dg_mid, dg_end = nodes[v_key]
-        two_k2 = ma2 * dg_mid
-        two_k2 *= 2.0
-        incr = k1s[a2_key] + two_k2
-        incr += two_k2
-        incr += ma2 * dg_end
-        incr *= dt / 6.0
-        np.add(x, incr, out=out[1:d, c])
-        np.add(pts[0], (dt / 6.0) * (ma2 + 2.0 * ma2 + 2.0 * ma2 + ma2), out=out[0, c])
-        np.add(t, (dt / 6.0) * (vc + 2.0 * vc + 2.0 * vc + vc), out=out[d, c])
-    return out
+    k1 = ma2 * npoly.polyval(t, dcoef)[:, None]  # (d-1, q, n)
+    dg_mid, dg_end = (npoly.polyval(t + s * dt * v, dcoef) for s in (0.5, 1.0))
+    two_k2 = np.multiply(ma2, dg_mid, out=dg_mid)
+    two_k2 *= 2.0
+    incr = np.add(k1[:, None], two_k2, out=xs)
+    incr += two_k2
+    incr += np.multiply(ma2, dg_end, out=dg_end)
+    incr *= dt / 6.0
+    incr += x[:, None, None]
+    if xs is None:
+        out[1:d, :, live] = incr
+    return out.reshape(d + 1, -1, t.shape[0])
 
 
 def flow(model: ModelFamily, z, controls, duration: float) -> np.ndarray:

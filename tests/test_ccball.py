@@ -128,6 +128,25 @@ class TestReachBall:
         assert ball.pi_extent <= 2 * d + 3 * h
 
 
+@pytest.mark.parametrize("name", ["parabola", "quartic", "cubic"])
+@pytest.mark.parametrize("t_cell", [0, 5, -13])
+def test_whole_cell_translate_is_the_shifted_ball(models, name, t_cell):
+    # V1 and V2 have coefficients in t alone, so B((x0, t0)) = x0 + B((0, t0)).
+    # On the lattice this holds exactly only for a dyadic round length: at
+    # (1/8, 1/8, 2^-7) every model runs 32 rounds, tau = 1/32, and with
+    # dyadic h each step's sums stay exact.  At 40 and 48 rounds whole-cell
+    # translates differ from the shifted ball by up to 13 of 4,069 cells
+    # (CHANGES.md, FOUND on reach_balls translation equivariance).
+    model = models[name]
+    h = 2.0 ** -7
+    shift = np.array([37, -21, 12][:model.d] + [0])
+    centre = np.zeros(model.dim_z)
+    centre[-1] = t_cell * h
+    home, moved = reach_balls(model, [centre, centre + shift * h], 0.125, 0.125, h)
+    assert home.rounds == 32
+    assert np.array_equal(home.cells.cells + shift, moved.cells.cells)
+
+
 # Doubled and h0/2 balls of the theta = 0.5 lemma sweep (d2 = d1 ** theta).
 # Their farthest-point dedup and floor cell assignment react to the last bit
 # of the flow: a closed-form step that differs from RK4 by roundoff moves them

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from ccradon import calibration
+from ccradon.ccball import reach_balls
 from ccradon.cli import main
+from ccradon.exponents import default_h_rule, default_z_samples
 
 BALL_SCENARIO = {
     "kind": "ball",
@@ -403,27 +405,50 @@ REGION_PINS = {
 }
 
 
+REGION_SWEEP = {
+    "kind": "region",
+    "model": "parabola",
+    "parameters": {
+        "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
+        "delta_grid": [0.125, 0.0625, 0.03125],
+        "expect": [
+            {"c1": 2.2, "c2": 2.2, "label": "inside"},
+            {"c1": 1.5, "c2": 1.5, "label": "outside"},
+            {"c1": 2.0, "c2": 2.0, "label": "edge"},
+        ],
+    },
+}
+
+
 def test_region_outputs_pinned(runner, tmp_path):
-    scen = write_scenario(
-        tmp_path,
-        {
-            "kind": "region",
-            "model": "parabola",
-            "parameters": {
-                "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
-                "delta_grid": [0.125, 0.0625, 0.03125],
-                "expect": [
-                    {"c1": 2.2, "c2": 2.2, "label": "inside"},
-                    {"c1": 1.5, "c2": 1.5, "label": "outside"},
-                    {"c1": 2.0, "c2": 2.0, "label": "edge"},
-                ],
-            },
-        },
-    )
+    scen = write_scenario(tmp_path, REGION_SWEEP)
     out = tmp_path / "out"
     result = runner.invoke(main, ["region", "--scenario", scen, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REGION_PINS} == REGION_PINS
+
+
+def test_region_meta_records_each_ball_job(runner, tmp_path, parabola):
+    # 13 radius triples (d1, d2, h), each one reach_balls job over the three
+    # default centres.  Their records go to meta.json only: the report bytes
+    # do not move with timing or the thread count.
+    scen = write_scenario(tmp_path, REGION_SWEEP)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        result = runner.invoke(main, ["region", "--scenario", scen, "--out", str(out), "--threads", threads])
+        assert result.exit_code == 0, result.output
+        reports.append((out / "region_report.json").read_bytes())
+        jobs = json.loads((out / "meta.json").read_text())["diagnostics"]["jobs"]
+        assert len({(job["delta1"], job["delta2"], job["h"]) for job in jobs}) == len(jobs) == 13
+        for job in jobs:
+            assert job["h"] == default_h_rule(job["delta1"], job["delta2"])
+            assert len(job["cells"]) == 3 and job["seconds"] > 0
+        last = jobs[-1]
+        balls = reach_balls(parabola, default_z_samples(parabola), last["delta1"], last["delta2"], last["h"])
+        assert last["cells"] == [ball.cells.n_cells for ball in balls]
+        assert last["rounds"] == balls[0].rounds
+    assert reports[0] == reports[1]
 
 
 class TestDeterminism:

@@ -159,10 +159,12 @@ class TestRegionStructure:
 
 def _square_volume_map(n_cells):
     """A pool_map that skips the balls: every centre gets volume (d1 d2)^2
-    and ``n_cells`` cells, so each path's volume rate is 2 (e1 + e2)."""
+    and ``n_cells`` cells, so each path's volume rate is 2 (e1 + e2).  Each
+    job's result has the shape of the estimator's own: the (volume, cells)
+    pairs, then the rounds and seconds of its record, here 0."""
 
     def pool_map(fn, jobs):
-        return [[((d1 * d2) ** 2, n_cells) for _ in centres] for centres, d1, d2, _h in jobs]
+        return [([((d1 * d2) ** 2, n_cells) for _ in centres], 0, 0.0) for centres, d1, d2, _h in jobs]
 
     return pool_map
 

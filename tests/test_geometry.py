@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccradon import geometry
 from ccradon.errors import ChartDomainError, ConfigError, FlowExitError
 from ccradon.geometry import (
     ModelFamily,
@@ -149,46 +150,65 @@ class TestFlow:
                     assert err <= 1e-14, (name, speed, i, err)
 
     def test_rk4_control_rows_match_single_steps(self, models, rng):
-        # a column of scalar control pairs shares the Simpson nodes of equal
-        # speeds; every block is still the single-control step bit for bit
+        # row i q + k of a (p, 1) x (q, 1) control grid is the step under
+        # (a1[i], a2[k]), the order of np.repeat(a1, q) with np.tile(a2, p),
+        # and equals the single-control step bit for bit
         tau = 1.0 / 64.0
+        a2 = np.array([-0.125, 0.0, 0.125])
         for name in ("parabola", "cubic"):
             model = models[name]
             pts = rng.uniform(-0.5, 0.5, size=(model.dim_z, 7))
-            a1 = np.repeat([-0.125, 0.0, 0.125], 3)
-            a2 = np.tile([-0.125, 0.0, 0.125], 3)
-            block = rk4_many(model, pts, a1[:, None], a2[:, None], tau)
-            assert block.shape == (model.dim_z, 9, 7)
-            for c in range(9):
-                one = rk4_many(model, pts, a1[c], a2[c], tau)[:, 0]
-                assert one.tobytes() == np.ascontiguousarray(block[:, c]).tobytes(), (name, c)
-                per_point = rk4_many(model, pts, np.full(7, a1[c]), np.full(7, a2[c]), tau)[:, 0]
-                assert per_point.tobytes() == one.tobytes(), (name, c)
+            for a1 in (np.array([-0.125, 0.0, 0.125]), np.array([0.25, -0.0625])):
+                block = rk4_many(model, pts, a1[:, None], a2[:, None], tau)
+                assert block.shape == (model.dim_z, a1.size * a2.size, 7)
+                for c, (b1, b2) in enumerate(zip(np.repeat(a1, a2.size), np.tile(a2, a1.size))):
+                    one = rk4_many(model, pts, b1, b2, tau)[:, 0]
+                    assert one.tobytes() == np.ascontiguousarray(block[:, c]).tobytes(), (name, c)
+                    per_point = rk4_many(model, pts, np.full(7, b1), np.full(7, b2), tau)[:, 0]
+                    assert per_point.tobytes() == one.tobytes(), (name, c)
 
     @pytest.mark.parametrize("name", ["parabola", "quartic", "cubic", "degree8", "signed_zero"])
-    def test_rk4_many_is_textbook_rk4_bit_for_bit(self, models, rng, name):
-        # scalar control rows (the nine extreme pairs, speed 0 among them) and
-        # one control per point; the points include signed zeros of x and t.
-        # The -0.0 coefficient makes gamma_2'(-0.0) = -0.0 but gamma_2'(+0.0)
-        # = +0.0, so a speed-0 node t + 0.0 differs from t there.
+    def test_rk4_many_is_textbook_rk4_bit_for_bit(self, models, rng, name, monkeypatch):
+        # the 3 x 3 grid of extreme controls (speed 0 among them) and one
+        # control per point.  Grid rows with a2 = 0 copy x, since x + (signed
+        # zero) is x, unless some x coordinate is -0.0, which it would flip:
+        # the first point set has signed zeros in t only and takes the copy
+        # path, the second has -0.0 in x too and steps every row.  The -0.0
+        # coefficient makes gamma_2'(-0.0) = -0.0 but gamma_2'(+0.0) = +0.0,
+        # so a speed-0 node t + 0.0 differs from t there.
         model = models.get(name) or load_model({"curve": EXTRA_CURVES[name]})
+        stepped = []  # a2 rows of each Simpson node evaluation, (p, q, n) over the grid
+
+        def spy(x, c):
+            if np.ndim(x) == 3:
+                stepped.append(x.shape[1])
+            return polyval(x, c)
+
+        polyval = geometry.npoly.polyval
+        monkeypatch.setattr(geometry.npoly, "polyval", spy)
         n = 12
-        pts = rng.uniform(-0.5, 0.5, size=(model.dim_z, n))
-        pts[:, :4] = [[0.0, -0.0, 0.0, -0.0]] * model.d + [[0.0, -0.0, -0.0, 0.0]]
+        t_zeros = rng.uniform(-0.5, 0.5, size=(model.dim_z, n))
+        t_zeros[-1, :4] = [0.0, -0.0, -0.0, 0.0]
+        x_zeros = t_zeros.copy()
+        x_zeros[:-1, :4] = [[0.0, -0.0, 0.0, -0.0]] * model.d
         a1 = rng.uniform(-0.5, 0.5, size=n)
         a2 = rng.uniform(-0.5, 0.5, size=n)
         a1[:3], a2[:3] = 0.0, 0.0
         a1[3:6] = -a2[3:6]
-        for dt in (1.0 / 64.0, -0.125, 1.0 / 3.0):
-            for d1, d2 in ((0.125, 0.125), (0.3, 0.0625)):
-                b1s, b2s = np.repeat([-d1, 0.0, d1], 3), np.tile([-d2, 0.0, d2], 3)
-                rows = rk4_many(model, pts, b1s[:, None], b2s[:, None], dt)
-                for c, (b1, b2) in enumerate(zip(b1s, b2s)):
-                    want = np.array([textbook_rk4_step(model.curve, pts[:, i], b1, b2, dt) for i in range(n)]).T
-                    assert np.ascontiguousarray(rows[:, c]).tobytes() == want.tobytes(), (name, dt, d1, d2, c)
-            per_point = rk4_many(model, pts, a1, a2, dt)[:, 0]
-            want = np.array([textbook_rk4_step(model.curve, pts[:, i], a1[i], a2[i], dt) for i in range(n)]).T
-            assert per_point.tobytes() == want.tobytes(), (name, dt)
+        for pts, grid_rows in ((t_zeros, 2), (x_zeros, 3)):
+            for dt in (1.0 / 64.0, -0.125, 1.0 / 3.0):
+                for d1, d2 in ((0.125, 0.125), (0.3, 0.0625)):
+                    b1s, b2s = np.array([-d1, 0.0, d1]), np.array([-d2, 0.0, d2])
+                    stepped.clear()
+                    rows = rk4_many(model, pts, b1s[:, None], b2s[:, None], dt)
+                    assert stepped == [grid_rows, grid_rows]
+                    assert rows.shape == (model.dim_z, 9, n)
+                    for c, (b1, b2) in enumerate(zip(np.repeat(b1s, 3), np.tile(b2s, 3))):
+                        want = np.array([textbook_rk4_step(model.curve, pts[:, i], b1, b2, dt) for i in range(n)]).T
+                        assert np.ascontiguousarray(rows[:, c]).tobytes() == want.tobytes(), (name, dt, d1, d2, c)
+                per_point = rk4_many(model, pts, a1, a2, dt)[:, 0]
+                want = np.array([textbook_rk4_step(model.curve, pts[:, i], a1[i], a2[i], dt) for i in range(n)]).T
+                assert per_point.tobytes() == want.tobytes(), (name, dt)
 
     def test_rk4_step_within_simpson_bound_for_degree_8(self, rng):
         # Simpson's rule on [t, t + v tau]: |error in x_i| <= |a2| tau (|v| tau)^4 / 2880 max|gamma_i^(5)|
