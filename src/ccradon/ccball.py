@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, ConfigError, ResolutionError
-from .geometry import ModelFamily, as_zarray, rk4_many
+from .geometry import ModelFamily, as_zarray, integrate, rk4_many
 from .lattice import LatticeSet, decode_keys, encode_cells, points_to_cells
 from .mixednorm import conjugate, mixed_norm_indicator, reciprocal
 
@@ -163,34 +163,20 @@ def _ball_from_cells(model: ModelFamily, name, z0, d1, d2, h, tau, rounds, keys,
     )
 
 
-def _farthest_per_key(keys: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Index of one point per distinct key: the largest ``dist``, and on exact
-    ties the lowest index.  Indices come out in ascending key order.
-
-    This is the first-of-group rule of ``np.lexsort((-dist, keys))``, from one
-    stable key sort and a per-group max.
-    """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    new_key = np.empty(order.shape[0], dtype=bool)
-    new_key[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
-    starts = np.flatnonzero(new_key)
-    sorted_dist = dist[order]
-    group_max = np.maximum.reduceat(sorted_dist, starts)
-    hits = np.flatnonzero(sorted_dist == np.repeat(group_max, np.diff(starts, append=order.shape[0])))
-    # every group holds a hit, so its first hit is the first one at or after its start
-    return order[hits[np.searchsorted(hits, starts)]]
-
-
 def _farthest_in_box(idx: np.ndarray, dist: np.ndarray, box: int) -> np.ndarray:
-    """``_farthest_per_key`` for keys in ``[0, box)``, on a table of ``box``
-    cells: the per-cell max of ``dist``, then the lowest index among the
-    points that reach it.  Boxes of more than ``DENSE_BOX_FACTOR`` cells per
-    point sort instead."""
+    """Index of one point per distinct ``idx`` in ``[0, box)``: the largest
+    ``dist``, and on exact ties the lowest index, in ascending ``idx`` order
+    (the first-of-group rule of ``np.lexsort((-dist, idx))``).
+
+    A table of ``box`` cells takes the per-cell max of ``dist``, then the
+    lowest index among the points that reach it.  Boxes of more than
+    ``DENSE_BOX_FACTOR`` cells per point first compact ``idx`` to the rank
+    of its distinct values, which keeps their order.
+    """
     n = idx.shape[0]
     if box > DENSE_BOX_FACTOR * n:
-        return _farthest_per_key(idx, dist)
+        distinct, idx = np.unique(idx, return_inverse=True)
+        box = distinct.shape[0]
     best = np.full(box, -np.inf)
     np.maximum.at(best, idx, dist)
     hits = np.flatnonzero(dist == best[idx])
@@ -351,23 +337,6 @@ class McBall:
     n_escaped: int
 
 
-def _integrate_paths(model: ModelFamily, z0: np.ndarray, controls: np.ndarray) -> tuple:
-    """Integrate piecewise-constant control paths; returns (endpoints, alive mask).
-
-    ``controls`` is (paths, pieces, 2); total time is 1, one RK4 step per
-    piece (exact while gamma has degree <= 4).  Paths leaving the chart are
-    dropped (once out, always out).
-    """
-    n_paths, pieces, _ = controls.shape
-    dt = 1.0 / pieces
-    pts = np.tile(z0[:, None], (1, n_paths))
-    alive = np.ones(n_paths, dtype=bool)
-    for k in range(pieces):
-        pts = rk4_many(model, pts, controls[:, k, 0], controls[:, k, 1], dt)[:, 0]
-        alive &= model.contains(pts)
-    return pts.T, alive
-
-
 def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, seed: int = 0, *, h: float) -> McBall:
     """Random-control oracle for reach_ball.
 
@@ -383,9 +352,10 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
     controls = rng.uniform(-1.0, 1.0, size=(paths, MC_CONTROL_PIECES, 2))
     controls[:, :, 0] *= delta1
     controls[:, :, 1] *= delta2
-    pts, alive = _integrate_paths(model, z0, controls)
-    endpoints = pts[alive]
-    cells = LatticeSet.from_points(endpoints, h) if endpoints.size else LatticeSet.empty(h, model.dim_z)
+    pts, stayed = integrate(model, np.tile(z0[:, None], (1, paths)), controls, 1.0 / MC_CONTROL_PIECES)
+    alive = stayed == MC_CONTROL_PIECES
+    endpoints = pts.T[alive]
+    cells = LatticeSet.from_points(endpoints, h)
     return McBall(
         endpoints=endpoints,
         cells=cells,
@@ -396,8 +366,10 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
 
 
 def slab_profile(ball: BallEstimate) -> list:
-    """Pairs (t, f(t)): d-dimensional measure of the ball in each Pi-slab of width h."""
-    ts = (ball.pi_cols + 0.5) * ball.h
+    """Pairs (t, f(t)): d-dimensional measure of the ball in each Pi-slab of
+    width h, with t = c h the Pi coordinate of the centres of the cells in
+    Pi column c."""
+    ts = ball.pi_cols * ball.h
     return list(zip(ts.tolist(), ball.slab_values.tolist()))
 
 

@@ -235,6 +235,25 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
     return out.reshape(d + 1, -1, t.shape[0])
 
 
+def integrate(model: ModelFamily, pts: np.ndarray, controls: np.ndarray, dt: float) -> tuple:
+    """Step paths along piecewise-constant controls: one ``rk4_many`` step of
+    length ``dt`` per piece.
+
+    ``pts`` is column storage, (d+1, n), and ``controls`` is (n, pieces, 2),
+    one (a1, a2) pair per path and piece.  Returns the (d+1, n) end points
+    and, per path, the number of pieces it stayed in the chart: a path that
+    leaves the chart counts as out from then on, and its end point is the
+    stepped point all the same.
+    """
+    alive = np.ones(pts.shape[1], dtype=bool)
+    stayed = np.zeros(pts.shape[1], dtype=np.int64)
+    for k in range(controls.shape[1]):
+        pts = rk4_many(model, pts, controls[:, k, 0], controls[:, k, 1], dt)[:, 0]
+        alive &= model.contains(pts)
+        stayed += alive
+    return pts, stayed
+
+
 def flow(model: ModelFamily, z, controls, duration: float) -> np.ndarray:
     """Integrate phi' = a1 V1 + a2 V2 for ``duration`` from z; returns the (d+1,) end point.
 
@@ -249,15 +268,11 @@ def flow(model: ModelFamily, z, controls, duration: float) -> np.ndarray:
         raise ChartDomainError(f"start point {arr.tolist()} outside chart domain")
     steps = max(1, math.ceil(STEPS_PER_UNIT_TIME * abs(duration)))
     dt = duration / steps
-    p = arr[:, None]
-    for k in range(steps):
-        p = rk4_many(model, p, a1, a2, dt)[:, 0]
-        if not model.contains(p[:, 0]):
-            raise FlowExitError(
-                f"trajectory exited chart domain near time {(k + 1) * dt:g}",
-                exit_time=(k + 1) * dt,
-            )
-    return p[:, 0]
+    end, stayed = integrate(model, arr[:, None], np.full((1, steps, 2), (a1, a2)), dt)
+    if stayed[0] < steps:
+        exit_time = (int(stayed[0]) + 1) * dt
+        raise FlowExitError(f"trajectory exited chart domain near time {exit_time:g}", exit_time=exit_time)
+    return end[:, 0]
 
 
 def check_v1_normalization(model: ModelFamily, z, s: float) -> float:

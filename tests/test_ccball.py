@@ -12,8 +12,6 @@ from ccradon.ccball import (
     ComparabilityWindow,
     _box_index,
     _farthest_in_box,
-    _farthest_per_key,
-    _integrate_paths,
     default_tau,
     lemma_balls_report,
     mc_ball,
@@ -22,7 +20,7 @@ from ccradon.ccball import (
     slab_profile,
 )
 from ccradon.errors import ChartDomainError, ConfigError, ResolutionError
-from ccradon.geometry import as_zarray
+from ccradon.geometry import as_zarray, integrate
 from ccradon.lattice import encode_cells, points_to_cells
 
 
@@ -200,18 +198,18 @@ class TestFarthestPerKey:
     )
     def test_matches_lexsort_rule(self, rows):
         # (job, x offset, t offset, distance) rows with few values, so exact
-        # ties are common.  The sort on packed (job, cell) keys, and the dense
-        # table and the sort on the box index, pick the same points in the
-        # same order: the box index orders like the packed keys.
+        # ties are common.  The compacted packed (job, cell) keys, and the
+        # dense and the compacted box index, pick the same points in the same
+        # order: the box index orders like the packed keys.
         job = np.array([r[0] for r in rows], dtype=np.int64)
         rel = np.array([[r[1] for r in rows], [r[2] for r in rows]], dtype=np.int64)[:, None, :]
         dist = np.array([0.25 * r[3] for r in rows])
         keys = encode_cells(rel[:, 0].T) | (job << JOB_SHIFT)
         want = _lexsort_first_of_group(keys, dist).tolist()
-        assert _farthest_per_key(keys, dist).tolist() == want
+        assert _farthest_in_box(keys, dist, keys.max() + 1).tolist() == want
         idx, box = _box_index(rel.copy(), job, 3)
         assert idx.min() >= 0 and idx.max() < box
-        for factor in (1 << 40, 0):  # every box dense, every box sorted
+        for factor in (1 << 40, 0):  # every box dense, every box compacted
             with mock.patch.object(ccball, "DENSE_BOX_FACTOR", factor):
                 assert _farthest_in_box(idx, dist, box).tolist() == want, factor
 
@@ -224,7 +222,7 @@ class TestFarthestPerKey:
             keys = encode_cells(np.floor(pool / h_rep + 0.5).astype(np.int64).T)
             dist = np.sum(pool.T ** 2, axis=1)
             assert keys[0] == keys[1] and dist[0] == dist[1]
-            assert _farthest_per_key(keys, dist).tolist() == [0]
+            assert _farthest_in_box(keys, dist, keys.max() + 1).tolist() == [0]
             assert _farthest_in_box(np.zeros(2, dtype=np.int64), dist, 1).tolist() == [0]
 
 
@@ -289,8 +287,8 @@ def test_reach_balls_equal_per_centre_runs(models, name, centers, d1, d2, h):
 
 @pytest.mark.parametrize("name, centers, d1, d2, h", BATCHES, ids=[b[0] for b in BATCHES])
 def test_sorted_dedup_does_not_change_the_ball(models, name, centers, d1, d2, h, monkeypatch):
-    # DENSE_BOX_FACTOR = 0 sends every round to the sort; the box index and
-    # every pick are the same as on the dense table
+    # DENSE_BOX_FACTOR = 0 compacts the box index of every round to its
+    # distinct values; every pick is the same as on the full dense table
     dense = reach_balls(models[name], centers, d1, d2, h)
     monkeypatch.setattr(ccball, "DENSE_BOX_FACTOR", 0)
     for want, got in zip(dense, reach_balls(models[name], centers, d1, d2, h)):
@@ -342,9 +340,9 @@ class TestMcBall:
     def test_zero_controls_stay_home(self, parabola):
         z0 = as_zarray((0.1, 0.0, 0.0), 3)
         controls = np.zeros((10, 8, 2))
-        pts, alive = _integrate_paths(parabola, z0, controls)
-        assert alive.all()
-        assert np.allclose(pts, z0, atol=1e-12)
+        pts, stayed = integrate(parabola, np.tile(z0[:, None], (1, 10)), controls, 1.0 / 8.0)
+        assert (stayed == 8).all()
+        assert np.allclose(pts.T, z0, atol=1e-12)
 
     def test_agreement_band(self, parabola):
         d = 2.0 ** -4
@@ -353,6 +351,28 @@ class TestMcBall:
         mc = mc_ball(parabola, (0.0, 0.0, 0.0), d, d, paths=100_000, seed=11, h=h)
         lo, hi = calibration.MC_AGREEMENT_BAND
         assert lo <= mc.volume / ball.volume <= hi
+
+    # (model, centre, endpoint rows, escaped paths, sha256 of the endpoint
+    # bytes) of 2,000 paths, seed 5, radii (1/4, 1/2): x1 moves by -a2, so
+    # paths from x1 = 0.9 leave the chart, and the last cubic centre leaves
+    # through t as well
+    PINNED_MC = (
+        ("parabola", (0.0, 0.0, 0.0), 2000, 0, "8f289f2e54992fedb700db7a1d520babf21d33a5d3e7cbf444f01bdac8bd00fc"),
+        ("parabola", (0.9, 0.0, 0.0), 1465, 535, "6554b6facd9226dc0d4ba202cc6caf81c4dcbbec3da1a41eae1d4597f445450f"),
+        ("quartic", (0.1, 0.0, 0.2), 2000, 0, "2decf5cb3c411890bddfd1897de93fbd4cbc9a744bdd4a2c42902da31ceda26c"),
+        ("quartic", (0.9, 0.0, 0.0), 1465, 535, "902e99c2e9573c14d26a7ae9924ec8b8bdcd64d07d3117bfb3116f887f1e922d"),
+        ("cubic", (0.0, 0.0, 0.0, 0.0), 2000, 0, "b1ee0c0f7e65b079af1122ac39d6f109fc5e67e829c982e6601e70575a2e6353"),
+        ("cubic", (0.9, 0.0, 0.0, 0.0), 1465, 535, "c382789522711f1124b36a1f7074317749190c9a168d4d623bfe95b2715b9c9d"),
+        ("cubic", (0.9, 0.0, 0.0, 0.9), 894, 1106, "7078c70b3fc238bdd24661aa646b8bc4b571a76f0806bf10ea9a86aabe2a27ef"),
+    )
+
+    def test_endpoints_pinned(self, models):
+        for name, z0, n_end, n_escaped, digest in self.PINNED_MC:
+            mc = mc_ball(models[name], z0, 0.25, 0.5, paths=2000, seed=5, h=2.0 ** -5)
+            endpoints = np.ascontiguousarray(mc.endpoints, dtype="<f8")
+            assert endpoints.shape == (n_end, len(z0)), (name, z0)
+            assert (mc.n_escaped, hashlib.sha256(endpoints.tobytes()).hexdigest()) == (n_escaped, digest), (name, z0)
+            assert mc.cells.n_cells > 0 and mc.volume == mc.cells.measure
 
     def test_requires_paths(self, parabola):
         with pytest.raises(ConfigError):
@@ -379,6 +399,17 @@ class TestSlabProfile:
         for t, f in slab_profile(ball):
             if f > 0:
                 assert abs(t - center) <= ball.c_geom * ball.delta1 + ball.h
+
+    def test_t_is_a_cell_centre(self, parabola):
+        # a cell (i, j, k) has Pi pi2 = (i + k) h at its centre (gamma_1 = t),
+        # and each slab is one Pi column of such cells
+        d = 2.0 ** -4
+        ball = reach_ball(parabola, (0.1, 0.0, 0.0), d, d, d / 8)
+        cells = ball.cells.cells
+        centres = set(((cells[:, 0] + cells[:, 2]) * ball.h).tolist())
+        ts = [t for t, _ in slab_profile(ball)]
+        assert ts[0] == 0.0390625
+        assert set(ts) <= centres and len(ts) == len(centres)
 
 
 class TestLemmaReport:
