@@ -372,7 +372,6 @@ class TestMcBall:
             endpoints = np.ascontiguousarray(mc.endpoints, dtype="<f8")
             assert endpoints.shape == (n_end, len(z0)), (name, z0)
             assert (mc.n_escaped, hashlib.sha256(endpoints.tobytes()).hexdigest()) == (n_escaped, digest), (name, z0)
-            assert mc.cells.n_cells > 0 and mc.volume == mc.cells.measure
 
     def test_requires_paths(self, parabola):
         with pytest.raises(ConfigError):
@@ -409,7 +408,7 @@ class TestSlabProfile:
         centres = set(((cells[:, 0] + cells[:, 2]) * ball.h).tolist())
         ts = [t for t, _ in slab_profile(ball)]
         assert ts[0] == 0.0390625
-        assert set(ts) <= centres and len(ts) == len(centres)
+        assert ts == sorted(centres)
 
 
 class TestLemmaReport:
