@@ -32,9 +32,7 @@ def main():
         d2 = d1 ** theta
         h0 = default_h_rule(d1, d2)
         for h in (h0, h0 / 2.0):
-            rep, ball, _ = lemma_balls_report(
-                model, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h, p=2.0, return_balls=True
-            )
+            rep, ball, _ = lemma_balls_report(model, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h, p=2.0)
             for key, val in rep["ratios"].items():
                 lo, hi = env.get(key, (math.inf, -math.inf))
                 env[key] = (min(lo, val), max(hi, val))

@@ -383,9 +383,9 @@ def lemma_balls_report(
     h: float,
     p: float | None = None,
     window: ComparabilityWindow | None = None,
-    return_balls: bool = False,
 ):
-    """Empirical comparison ratios for the five ball facts.
+    """Empirical comparison ratios for the five ball facts, as (report, b1, b2)
+    with the balls b1 = B(d1, d2) and b2 = B(2d1, 2d2) they were read from.
 
     (i)   |B(2d1, 2d2)| / |B(d1, d2)|
     (ii)  |B| / (|pi1 B| d1)  and  |B| / (|pi2 B| d2)
@@ -442,6 +442,4 @@ def lemma_balls_report(
             "v": ratio_v,
         },
     }
-    if return_balls:
-        return report, b1, b2
-    return report
+    return report, b1, b2

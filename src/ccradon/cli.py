@@ -22,7 +22,7 @@ from . import __version__, calibration
 from .ccball import ComparabilityWindow, lemma_balls_report, mc_ball, reach_ball, slab_profile
 from .decomp import partition, stratify, to_pi_fibers, widthbound_check
 from .errors import CCRadonError, OrderingError, ResolutionError
-from .exponents import classify_triple, default_h_rule, estimate_region
+from .exponents import DEFAULT_MARGIN, classify_triple, default_h_rule, estimate_region
 from .geometry import builtin_models, load_model
 from .lattice import LatticeSet
 from .radon import necessity_union, rwt_ratio, superlevel_set
@@ -191,8 +191,8 @@ def run_lemma_check(model, params: dict, out_dir: Path, seed, threads: int):
 
     def one(job):
         theta, d1, d2, h = job
-        rep = lemma_balls_report(model, (0.0,) * model.dim_z, d1, d2, q, r, h, p=p,
-                                 window=ComparabilityWindow(theta=theta, bigA=2.0))
+        rep, _, _ = lemma_balls_report(model, (0.0,) * model.dim_z, d1, d2, q, r, h, p=p,
+                                       window=ComparabilityWindow(theta=theta, bigA=2.0))
         rep["theta"] = theta
         return rep
 
@@ -246,7 +246,7 @@ def run_region(model, params: dict, out_dir: Path, seed, threads: int):
 
 def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
     triples = _require(params, "triples", "parameters.triples")
-    margin = params.get("margin", 0.1)
+    margin = params.get("margin", DEFAULT_MARGIN)
     region = _region_from_params(model, params, threads)
     results = []
     failures = []

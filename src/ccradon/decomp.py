@@ -330,7 +330,7 @@ def partition(
     fibs: PiFibers,
     strat: StratifyResult,
     F: LatticeSet,
-    C: float = 4.0,
+    C: float,
 ) -> PartitionFamily:
     """Build I_n, E_n = {x : I(x) meets I_n}, F_n = F cap Pi^-1(3-window) and
     verify the localized pairing and the two-sided incidence bounds."""

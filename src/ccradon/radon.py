@@ -1,9 +1,8 @@
 """Discrete curve-integration transform, adjoint, pairings and necessity tests.
 
 The transform averages over the model curve: Tf(y) = sum_j f(y - gamma(t_j)) dt
-with nodes t_j = j*h on the t-lattice (dt = h).  A window (a, b) takes the
-nodes whose centres lie in [a, b); each carries weight h, so the sums integrate
-t over [j0*h - h/2, j1*h - h/2), which for (-1, 1) is [-1 - h/2, 1 - h/2).
+with the fixed nodes t_j = j*h whose centres lie in [-1, 1) (dt = h).  Each
+carries weight h, so the sums integrate t over [-1 - h/2, 1 - h/2).
 The adjoint uses the mirrored index shifts of T, so discrete duality
 <Tf, g> = <f, T*g> holds to float roundoff.  T and T* share one body,
 ``_shift_sum``: the products h f sit once in a flat, zero-padded copy of the
@@ -31,6 +30,7 @@ from .mixednorm import GridFunctionY, conjugate, mixed_norm_indicator, reciproca
 
 MAX_DENSE_CELLS = 1 << 26
 SHIFT_TILE_BYTES = 1 << 18  # bytes of padded output rows that _shift_sum sums per tile
+MIN_INCIDENCE_CELLS = 10  # pairing refuses incidence sets with fewer lattice cells
 
 
 def _n_half(h: float) -> int:
@@ -59,20 +59,13 @@ def grid_from_lattice(ls: LatticeSet) -> GridFunctionY:
     return g
 
 
-def t_node_range(h: float, window=(-1.0, 1.0)) -> np.ndarray:
-    """Integer t-cell indices j0..j1-1 whose centers j*h lie in [window[0], window[1]).
+def t_node_range(h: float) -> np.ndarray:
+    """Integer t-cell indices j whose centres j*h lie in [-1, 1).
 
     Each node carries weight h, so sums over them integrate t over
-    [j0*h - h/2, j1*h - h/2): [-1 - h/2, 1 - h/2) for the default window.
-    Raises ConfigError for a non-finite or reversed window, or one holding no node.
+    [-1 - h/2, 1 - h/2).
     """
-    if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
-        raise ConfigError(f"t_window {tuple(window)} must be a finite interval (a, b) with a < b")
-    j0 = int(math.ceil(window[0] / h - 1e-9))
-    j1 = int(math.ceil(window[1] / h - 1e-9))  # exclusive
-    if j1 <= j0:
-        raise ConfigError(f"t_window {tuple(window)} holds no t-node centre j*h at h = {h:g}")
-    return np.arange(j0, j1, dtype=np.int64)
+    return np.arange(math.ceil(-1.0 / h - 1e-9), math.ceil(1.0 / h - 1e-9), dtype=np.int64)
 
 
 def _shifts(model: ModelFamily, h: float, t_cells: np.ndarray) -> np.ndarray:
@@ -90,8 +83,8 @@ def _shifts(model: ModelFamily, h: float, t_cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_sum(model: ModelFamily, f: GridFunctionY, t_window, sign: int) -> GridFunctionY:
-    """sum_j f[k + sign * s_j] h over the window's nodes: T for sign 1, T* for -1.
+def _shift_sum(model: ModelFamily, f: GridFunctionY, sign: int) -> GridFunctionY:
+    """sum_j f[k + sign * s_j] h over the t-nodes: T for sign 1, T* for -1.
 
     One contiguous slice add per node.  The products h * f are formed once and
     laid out in a flat zero buffer of padded shape N0 x (N1 + P1) x ..., where
@@ -116,7 +109,7 @@ def _shift_sum(model: ModelFamily, f: GridFunctionY, t_window, sign: int) -> Gri
         raise ConfigError(f"grid has {f.values.ndim} axes, model {model.name!r} has d = {model.d}")
     h, shape = f.h, f.values.shape
     dtype = np.result_type(h, f.values)  # the dtype of h * f.values
-    shifts = sign * _shifts(model, h, t_node_range(h, t_window))
+    shifts = sign * _shifts(model, h, t_node_range(h))
     shifts = shifts[(np.abs(shifts) < shape).all(axis=1)]
     n0, inner = shape[0], shape[1:]
     padded = tuple(int(m + p) for m, p in zip(inner, np.abs(shifts[:, 1:]).max(axis=0, initial=0)))
@@ -141,17 +134,17 @@ def _shift_sum(model: ModelFamily, f: GridFunctionY, t_window, sign: int) -> Gri
     return GridFunctionY(h=h, origin=f.origin, values=out)
 
 
-def apply_T(model: ModelFamily, f: GridFunctionY, t_window=(-1.0, 1.0)) -> GridFunctionY:
+def apply_T(model: ModelFamily, f: GridFunctionY) -> GridFunctionY:
     """Tf(y) = sum_j f(y - gamma(t_j)) dt on the shared dense grid."""
-    return _shift_sum(model, f, t_window, 1)
+    return _shift_sum(model, f, 1)
 
 
-def apply_Tstar(model: ModelFamily, g: GridFunctionY, t_window=(-1.0, 1.0)) -> GridFunctionY:
+def apply_Tstar(model: ModelFamily, g: GridFunctionY) -> GridFunctionY:
     """T*g(x) = sum_j g(x + gamma(t_j)) dt, the exact transpose of apply_T."""
-    return _shift_sum(model, g, t_window, -1)
+    return _shift_sum(model, g, -1)
 
 
-def _incidence(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window) -> tuple:
+def _incidence(model: ModelFamily, E: LatticeSet, F: LatticeSet) -> tuple:
     """The incidence pairs (x, t_j): x in E, y = x - s_j in F, so x is the cell
     of y - gamma(t_j) and the pair counts once in <T chi_E, chi_F>.
 
@@ -167,7 +160,7 @@ def _incidence(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window) -> tu
     if not E.dim == F.dim == model.d:
         raise ConfigError(f"E and F must have the model dimension d = {model.d}, got {E.dim} and {F.dim}")
     x1, f_lo, f_hi = E.cells[:, 0], F.cells[0, 0], F.cells[-1, 0]  # cells are x1-major
-    t_cells = t_node_range(E.h, t_window)
+    t_cells = t_node_range(E.h)
     t_cells = t_cells[(t_cells >= f_lo - x1[-1]) & (t_cells <= f_hi - x1[0])]
     if t_cells.size == 0:
         return np.empty(0, dtype=np.intp), t_cells
@@ -202,34 +195,34 @@ class PairingResult:
     lattice: float
 
 
-def pairing(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window=(-1.0, 1.0), min_cells: int = 10) -> PairingResult:
+def pairing(model: ModelFamily, E: LatticeSet, F: LatticeSet) -> PairingResult:
     """<T chi_E, chi_F> = |pi1^-1(E) cap pi2^-1(F)| on the Z-lattice.
 
     Raises ResolutionError when the incidence set carries fewer than
-    ``min_cells`` lattice cells; the value is meaningless there.
+    ``MIN_INCIDENCE_CELLS`` lattice cells; the value is meaningless there.
     """
     if E.is_empty or F.is_empty:
         raise DegenerateError("pairing requires nonempty sets")
-    rows, _ = _incidence(model, E, F, t_window)
-    if rows.size < min_cells:
+    rows, _ = _incidence(model, E, F)
+    if rows.size < MIN_INCIDENCE_CELLS:
         raise ResolutionError(
-            f"incidence set has {rows.size} cells (< {min_cells}); refine h or enlarge the sets"
+            f"incidence set has {rows.size} cells (< {MIN_INCIDENCE_CELLS}); refine h or enlarge the sets"
         )
     value = rows.size * E.h ** (E.dim + 1)
     return PairingResult(quadrature=value, lattice=value)
 
 
-def incidence_set(model: ModelFamily, E: LatticeSet, F: LatticeSet, t_window=(-1.0, 1.0)) -> LatticeSet:
+def incidence_set(model: ModelFamily, E: LatticeSet, F: LatticeSet) -> LatticeSet:
     """Omega = pi1^-1(E) cap pi2^-1(F) as cells (x, t) on the Z-lattice."""
     if E.is_empty or F.is_empty:
         raise DegenerateError("incidence_set requires nonempty sets")
-    rows, t = _incidence(model, E, F, t_window)
+    rows, t = _incidence(model, E, F)
     return LatticeSet(E.h, np.column_stack([E.cells[rows], t]))
 
 
-def rwt_ratio(model: ModelFamily, E: LatticeSet, F: LatticeSet, p, q, r, t_window=(-1.0, 1.0)) -> float:
+def rwt_ratio(model: ModelFamily, E: LatticeSet, F: LatticeSet, p, q, r) -> float:
     """<T chi_E, chi_F> / (|E|^{1/p} ||chi_F||_{q', r'})."""
-    pr = pairing(model, E, F, t_window)
+    pr = pairing(model, E, F)
     ip = reciprocal(p)
     norm = mixed_norm_indicator(F, conjugate(float(q)), conjugate(float(r)))
     denom = E.measure ** ip * norm
@@ -255,7 +248,7 @@ class SuperlevelSet:
         return self.E.is_empty
 
 
-def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float, t_window=(-1.0, 1.0)) -> SuperlevelSet:
+def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float) -> SuperlevelSet:
     """E = {x : beta < T* chi_F(x) <= 2 beta}; fibers are exact t-cell sets.
 
     T* chi_F(x) equals h times the fiber count by construction, so membership
@@ -268,7 +261,7 @@ def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float, t_window=(-1.
     h = F.h
     d = F.dim
     dense_f = grid_from_lattice(F)
-    tstar = apply_Tstar(model, dense_f, t_window)
+    tstar = apply_Tstar(model, dense_f)
     nh = -tstar.origin[0]
     vals = tstar.values
     mask = (vals > beta) & (vals <= 2.0 * beta)
@@ -283,7 +276,7 @@ def superlevel_set(model: ModelFamily, F: LatticeSet, beta: float, t_window=(-1.
             fiber_measures=np.empty(0),
         )
     E = LatticeSet(h, idx - nh)
-    rows, t = _incidence(model, E, F, t_window)
+    rows, t = _incidence(model, E, F)
     order = np.argsort(rows, kind="stable")  # t-cells stay ascending per row
     measures = np.bincount(rows, minlength=E.n_cells) * h
     # exact consistency with the dense transform
@@ -323,7 +316,8 @@ def necessity_union(
     itself: ``pi2_cells`` shifts by whole cells with x1 and no other
     coordinate depends on x1, so they equal the unions of the shifted
     projections.  The spacing is the Pi span plus one cell, so the copies'
-    Pi columns, and so their cells, are disjoint.  Returns one record per
+    Pi columns, and so their cells, are disjoint, one empty column apart
+    (the span alone leaves them adjacent).  Returns one record per
     input ball with the tested ratio
     |U| / (|pi1 U|^{1/p} ||chi_{pi2 U}||_{q', r'}).
     """

@@ -42,19 +42,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def continuum_pairing(E, F, gamma, t_window=(-1.0, 1.0), n=20_000):
+def continuum_pairing(E, F, gamma, n=20_000):
     """int prod_i |[a_i, b_i) cap ([c_i, e_i) - gamma_i(t))| dt for box sets.
 
     [a, b) and [c, e) are the boxes the cells of E and F cover (cell j spans
-    [j h - h/2, j h + h/2)); t runs over the node window [j0 h - h/2, j1 h - h/2)
-    of the centres j h in ``t_window``.  Midpoint rule with ``n`` nodes;
+    [j h - h/2, j h + h/2)); t runs over [-1 - h/2, 1 - h/2), the cells of the
+    node centres j h in [-1, 1).  Midpoint rule with ``n`` nodes;
     ``gamma(t)`` returns one array per coordinate.
     """
     h = E.h
     a, b = E.cells.min(axis=0) * h - h / 2, E.cells.max(axis=0) * h + h / 2
     c, e = F.cells.min(axis=0) * h - h / 2, F.cells.max(axis=0) * h + h / 2
-    lo = math.ceil(t_window[0] / h) * h - h / 2
-    hi = math.ceil(t_window[1] / h) * h - h / 2
+    lo = math.ceil(-1.0 / h) * h - h / 2
+    hi = math.ceil(1.0 / h) * h - h / 2
     dt = (hi - lo) / n
     t = lo + (np.arange(n) + 0.5) * dt
     prod = np.ones(n)

@@ -106,10 +106,8 @@ def lemma_sweep():
             d1 = 2.0 ** -k
             d2 = d1 ** theta
             h0 = default_h_rule(d1, d2)
-            rep_h, ball_h, _ = lemma_balls_report(
-                PARABOLA, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h0, p=2.0, return_balls=True
-            )
-            rep_h2 = lemma_balls_report(PARABOLA, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h0 / 2.0, p=2.0)
+            rep_h, ball_h, _ = lemma_balls_report(PARABOLA, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h0, p=2.0)
+            rep_h2, _, _ = lemma_balls_report(PARABOLA, (0.0, 0.0, 0.0), d1, d2, q=3.0, r=3.0, h=h0 / 2.0, p=2.0)
             rows.append({"theta": theta, "d1": d1, "d2": d2, "h": h0,
                          "rep_h": rep_h, "rep_h2": rep_h2, "ball": ball_h})
     return rows

@@ -416,7 +416,7 @@ class TestLemmaReport:
         # with q = r, ratio (iv) equals ratio (ii_2)^(-1/r') and the ratio (v)
         # quotient follows from (ii_1) and (iv) by pure algebra
         d = 2.0 ** -4
-        rep = lemma_balls_report(parabola, (0.0, 0.0, 0.0), d, d, q=3.0, r=3.0, h=d / 8, p=2.0)
+        rep, _, _ = lemma_balls_report(parabola, (0.0, 0.0, 0.0), d, d, q=3.0, r=3.0, h=d / 8, p=2.0)
         rc = 1.5  # conjugate of 3
         assert rep["ratios"]["iv"] == pytest.approx(rep["ratios"]["ii_2"] ** (-1.0 / rc), rel=1e-9)
         expected_v = rep["ratios"]["ii_1"] ** (1.0 / 2.0) / rep["ratios"]["iv"]

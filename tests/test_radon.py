@@ -49,10 +49,11 @@ class TestTransform:
     def test_constant_total_mass(self, parabola):
         f = make_grid(2, H)
         f.values[:] = 1.0
-        Tf = apply_T(parabola, f, t_window=(-0.25, 0.25))
+        Tf = apply_T(parabola, f)
         nh = -Tf.origin[0]
-        # deep interior points see the full t-window mass
-        assert Tf.values[nh, nh] == pytest.approx(0.5, abs=1e-12)
+        # at the grid centre every node's source (-t, -t^2) is on the grid, so
+        # the 2/h nodes of weight h sum to the full t mass
+        assert Tf.values[nh, nh] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_function(self, parabola):
         f = make_grid(2, H)
@@ -92,18 +93,18 @@ class TestTransform:
     def test_tstar_constant(self, parabola):
         g = make_grid(2, H)
         g.values[:] = 1.0
-        Ts = apply_Tstar(parabola, g, t_window=(-0.25, 0.25))
+        Ts = apply_Tstar(parabola, g)
         nh = -Ts.origin[0]
-        assert Ts.values[nh, nh] == pytest.approx(0.5, abs=1e-12)
+        assert Ts.values[nh, nh] == pytest.approx(2.0, abs=1e-12)
 
 
-def reference_shift_sum(model, f, t_window, sign):
+def reference_shift_sum(model, f, sign):
     """The per-node slice loop that ``_shift_sum`` replaced: for each node in
     order, out[k] += h * f[k + sign * s_j] over the cells k whose source is on
     the grid, as one strided in-place add."""
     h = f.h
     out = np.zeros_like(f.values)
-    for s in sign * radon._shifts(model, h, t_node_range(h, t_window)):
+    for s in sign * radon._shifts(model, h, t_node_range(h)):
         dst_sl, src_sl = [], []
         for n, shift in zip(out.shape, s.tolist()):
             lo, hi = max(0, -shift), min(n, n - shift)
@@ -133,20 +134,19 @@ def test_shift_sum_matches_per_node_loop_bitwise(models, monkeypatch, name, h):
     f.values[rng.random(f.values.shape) < 0.2] = 0.0
     n0 = f.values.shape[0]
     assert n0 % 3 != 0
-    for window in ((-1.0, 1.0), (-0.3, 0.2)):
-        # one padded row as _shift_sum lays it out: N_i + the largest |shift|
-        # among nodes that read some grid cell
-        shifts = radon._shifts(model, h, t_node_range(h, window))
-        pads = np.abs(shifts[(np.abs(shifts) < f.values.shape).all(axis=1), 1:]).max(axis=0)
-        row_bytes = 8 * math.prod(n + p for n, p in zip(f.values.shape[1:], pads.tolist()))
-        # the module's tile, one row per tile, and 3 rows per tile, which divides no n0 here
-        for tile_bytes in (radon.SHIFT_TILE_BYTES, 1, 3 * row_bytes):
-            monkeypatch.setattr(radon, "SHIFT_TILE_BYTES", tile_bytes)
-            for transform, sign in ((apply_T, 1), (apply_Tstar, -1)):
-                got = transform(model, f, window).values
-                want = reference_shift_sum(model, f, window, sign)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (tile_bytes, window, sign)
+    # one padded row as _shift_sum lays it out: N_i + the largest |shift|
+    # among nodes that read some grid cell
+    shifts = radon._shifts(model, h, t_node_range(h))
+    pads = np.abs(shifts[(np.abs(shifts) < f.values.shape).all(axis=1), 1:]).max(axis=0)
+    row_bytes = 8 * math.prod(n + p for n, p in zip(f.values.shape[1:], pads.tolist()))
+    # the module's tile, one row per tile, and 3 rows per tile, which divides no n0 here
+    for tile_bytes in (radon.SHIFT_TILE_BYTES, 1, 3 * row_bytes):
+        monkeypatch.setattr(radon, "SHIFT_TILE_BYTES", tile_bytes)
+        for transform, sign in ((apply_T, 1), (apply_Tstar, -1)):
+            got = transform(model, f).values
+            want = reference_shift_sum(model, f, sign)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (tile_bytes, sign)
 
 
 def test_shift_sum_cases_have_empty_node_slices():
@@ -174,9 +174,8 @@ class TestPairing:
     def test_full_box_mass(self, parabola):
         E = LatticeSet.from_box([-0.5, -0.5], [0.5, 0.5], H)
         F = LatticeSet.from_box([-0.95, -0.95], [0.95, 0.95], H)
-        pr = pairing(parabola, E, F, t_window=(-0.25, 0.25))
-        assert pr.lattice == pytest.approx(E.measure * 0.5, rel=0.1)
-        ref = conftest.continuum_pairing(E, F, GAMMAS["parabola"], t_window=(-0.25, 0.25))
+        pr = pairing(parabola, E, F)
+        ref = conftest.continuum_pairing(E, F, GAMMAS["parabola"])
         assert pr.lattice == pytest.approx(ref, rel=0.05)
 
     def test_quad_vs_lattice_on_random_slabs(self, parabola, rng):
@@ -232,13 +231,13 @@ class TestPairing:
         assert p1.lattice <= p2.lattice
 
 
-def brute_incidence(gamma, F, h, nh, window=(-1.0, 1.0)):
+def brute_incidence(gamma, F, h, nh):
     """{x: t-cells} by pure-Python loops over y in F and nodes j: x is the cell
     (index i covers [i h - h/2, i h + h/2)) of the point y h - gamma(j h), kept
-    when every |x_i| <= nh.  Nodes j are the centres j h in the window [a, b)."""
+    when every |x_i| <= nh.  Nodes j are the centres j h in [-1, 1)."""
     fibers = {}
     for y in F.cells.tolist():
-        for j in range(math.ceil(window[0] / h), math.ceil(window[1] / h)):
+        for j in range(math.ceil(-1 / h), math.ceil(1 / h)):
             x = tuple(math.floor((yi * h - gi) / h + 0.5) for yi, gi in zip(y, gamma(j * h)))
             if max(abs(xi) for xi in x) <= nh:
                 fibers.setdefault(x, []).append(j)
@@ -246,11 +245,10 @@ def brute_incidence(gamma, F, h, nh, window=(-1.0, 1.0)):
 
 
 def oracle_draws(rng, d):
-    """(E cells, F cells, t_window) draws at h = 2^-4 for the brute-force oracle:
+    """(E cells, F cells) draws at h = 2^-4 for the brute-force oracle:
     overlapping sets; F offset in x1 from E, so the join's per-node row slices
-    of E are partial; F one or two x1 columns wide, like the ``decompose``
-    slab, against an E with x1 gaps, so some slices are empty; and a window
-    other than the default."""
+    of E are partial; and F one or two x1 columns wide, like the ``decompose``
+    slab, against an E with x1 gaps, so some slices are empty."""
     def cells(n, lo, hi, x1_lo=None, x1_hi=None):
         out = rng.integers(lo, hi + 1, size=(n, d))
         if x1_lo is not None:
@@ -258,14 +256,13 @@ def oracle_draws(rng, d):
         return out
 
     for _ in range(3):
-        yield cells(60, -4, 4), cells(60, -4, 4), (-1.0, 1.0)
-    yield cells(60, -4, 4), cells(60, -4, 4, 3, 10), (-1.0, 1.0)
-    yield cells(60, -4, 4, -3, 6), cells(60, -4, 4, -10, -2), (-1.0, 1.0)
+        yield cells(60, -4, 4), cells(60, -4, 4)
+    yield cells(60, -4, 4), cells(60, -4, 4, 3, 10)
+    yield cells(60, -4, 4, -3, 6), cells(60, -4, 4, -10, -2)
     for width in (1, 2):  # E on even x1 only: against one column, every other slice is empty
         e_cells = cells(150, -6, 6, -4, 4)
         e_cells[:, 0] *= 2
-        yield e_cells, cells(80, -6, 6, 2, 1 + width), (-1.0, 1.0)
-    yield cells(60, -4, 4), cells(60, -4, 4), (-0.4, 0.7)
+        yield e_cells, cells(80, -6, 6, 2, 1 + width)
 
 
 @pytest.mark.parametrize("name", ["parabola", "cubic"])
@@ -274,16 +271,16 @@ def test_brute_force_incidence_oracle(models, name):
     d, h = model.d, 2.0 ** -4
     nh = math.ceil(1 / h)
     rng = np.random.default_rng(5)
-    for e_cells, f_cells, window in oracle_draws(rng, d):
+    for e_cells, f_cells in oracle_draws(rng, d):
         E, F = LatticeSet(h, e_cells), LatticeSet(h, f_cells)
-        fibers = brute_incidence(GAMMAS[name], F, h, nh, window)
+        fibers = brute_incidence(GAMMAS[name], F, h, nh)
         omega = {x + (j,) for x in map(tuple, E.cells.tolist()) for j in fibers.get(x, [])}
         assert len(omega) >= 10
-        assert pairing(model, E, F, window).lattice / h ** (d + 1) == len(omega)
-        assert set(map(tuple, incidence_set(model, E, F, window).cells.tolist())) == omega
+        assert pairing(model, E, F).lattice / h ** (d + 1) == len(omega)
+        assert set(map(tuple, incidence_set(model, E, F).cells.tolist())) == omega
         for k in range(6):  # layers (2^(k-1) h, 2^k h] hold every nonempty fiber
             beta = h * 2.0 ** (k - 1)
-            sl = superlevel_set(model, F, beta, window)
+            sl = superlevel_set(model, F, beta)
             want = {x: js for x, js in fibers.items() if beta < len(js) * h <= 2 * beta}
             got = {}
             for row, t in zip(sl.rows.tolist(), sl.t_cells.tolist()):
@@ -307,19 +304,20 @@ def test_pair_without_common_node(parabola):
 def test_probe_past_packing_range_raises(parabola, first_x2):
     # nodes 11..13 shift x2 by -8..-11 cells, so E - s leaves |index| < 2^19;
     # the join must refuse rather than return keys that alias other cells,
-    # also when E's first cell, which fixes the key offsets, stays in range
+    # also when E's first cell, which fixes the key offsets, stays in range.
+    # The join raises before pairing counts the cells against MIN_INCIDENCE_CELLS.
     h, top = 2.0 ** -4, 1 << 19
     E = LatticeSet(h, [[0, first_x2], [1, top - 3]])
     F = LatticeSet(h, [[12, top - 2], [13, 5]])
     with pytest.raises(ConfigError, match=r"2\^19"):
-        pairing(parabola, E, F, min_cells=1)
+        pairing(parabola, E, F)
     with pytest.raises(ConfigError, match=r"2\^19"):
         incidence_set(parabola, E, F)
 
 
 class TestRwt:
     def test_strong_type_1_inf_1(self, parabola):
-        # <T chi_E, chi_F> / |E| <= full t-window mass
+        # <T chi_E, chi_F> / |E| <= full t mass
         E = LatticeSet.from_box([-0.4, -0.4], [0.4, 0.4], H)
         F = LatticeSet.from_box([-0.95, -0.95], [0.95, 0.95], H)
         ratio = rwt_ratio(parabola, E, F, p=1, q=math.inf, r=1)
@@ -444,19 +442,31 @@ class TestNecessity:
         rec = necessity_union(parabola, [ball], 2.0, 1.5, 4.0, n_translates=3)[0]
         assert rec.union_volume == pytest.approx(3 * ball.volume, rel=1e-12)
 
+    def test_union_pi2_columns_repeat_the_ball(self, parabola, monkeypatch):
+        # the pi2 image whose norm the record reports holds, column by column,
+        # the ball's proj2 column counts repeated once per translate at the
+        # spacing; copies whose Pi columns met would merge cells there
+        seen = []
+
+        def norm(F, qc, rc):
+            seen.append(F)
+            return mixed_norm_indicator(F, qc, rc)
+
+        monkeypatch.setattr(radon, "mixed_norm_indicator", norm)
+        d = 2.0 ** -4
+        ball = reach_ball(parabola, (-0.8, 0.0, 0.0), d, d, d / 8)
+        rec = necessity_union(parabola, [ball], 2.0, 1.5, 4.0, n_translates=3)[0]
+        cols, counts = np.unique(ball.proj2.cells[:, 0], return_counts=True)
+        want = {}
+        for k in range(rec.n_translates):
+            for c, n in zip((cols + k * rec.spacing_cells).tolist(), counts.tolist()):
+                want[c] = want.get(c, 0) + n
+        got_cols, got_counts = np.unique(seen[0].cells[:, 0], return_counts=True)
+        assert dict(zip(got_cols.tolist(), got_counts.tolist())) == want
+
 
 def test_t_node_range_exact_window():
-    nodes = t_node_range(0.125, (-0.25, 0.25))
-    assert nodes.tolist() == [-2, -1, 0, 1]
-
-
-@pytest.mark.parametrize("window", [(0.5, -0.5), (0.25, 0.25), (0.01, 0.1), (-math.inf, 1.0), (0.0, math.nan)])
-def test_t_window_rejected(parabola, window):
-    # reversed, empty, node-free and non-finite windows name themselves
-    E = LatticeSet.from_box([0, 0], [0.25, 0.25], 0.125)
-    with pytest.raises(ConfigError, match="t_window"):
-        t_node_range(0.125, window)
-    with pytest.raises(ConfigError, match="t_window"):
-        pairing(parabola, E, E, t_window=window)
-    with pytest.raises(ConfigError, match="t_window"):
-        apply_T(parabola, make_grid(2, 0.125), t_window=window)
+    # the nodes are the centres j h in [-1, 1): -1 is one, 1 is not
+    assert t_node_range(0.125).tolist() == list(range(-8, 8))
+    # 1 / 0.1 rounds to 10 and 10 * 0.1 to 1.0, but the same end rule holds
+    assert t_node_range(0.1).tolist() == list(range(-10, 10))
