@@ -328,11 +328,11 @@ def run_decompose(model, params: dict, out_dir: Path, seed, threads: int):
     strat = stratify(fibs, eta=eta, c_eta=c_eta)
     part = partition(model, fibs, strat, F, C=C)
     wb_ok, wb_worst = widthbound_check(fibs, strat)
-    strata_rows = [[s.m, s.k, len(s.indices), s.pairing, int(s.selected)] for s in strat.strata]
+    strata_rows = [[s.m, s.k, len(s.indices), s.pairing, int(s is strat.selected)] for s in strat.strata]
     _write_csv(out_dir, "strata.csv", ["m", "k", "count", "pairing", "selected"], strata_rows)
     part_rows = [
         [n, part.e_counts[n], part.f_counts[n], part.omega_measure[n], part.alpha1[n], part.alpha2[n]]
-        for n in part.n_values
+        for n in part.e_counts
     ]
     _write_csv(out_dir, "partition.csv", ["n", "E_n_cells", "F_n_cells", "omega_n", "alpha_n1", "alpha_n2"], part_rows)
     failures = [
@@ -356,16 +356,23 @@ def run_decompose(model, params: dict, out_dir: Path, seed, threads: int):
     }, None
 
 
-# command -> (runner, report file).  A runner writes its CSVs and returns its
-# report fields, ``failures`` among them, and the meta.json diagnostics.
+# parameters that runners read only to reject them, naming the reason
+_REJECTED = ("h_rule", "halve_h", "tau")
+_REGION_KEYS = ("windows", "c1_grid", "c2_grid", "delta_grid", "z_samples")
+
+# command -> (runner, report file, the parameters keys it reads).  A runner
+# writes its CSVs and returns its report fields, ``failures`` among them, and
+# the meta.json diagnostics.
 _RUNNERS = {
-    "ball": (run_ball, "ball_report.json"),
-    "lemma-check": (run_lemma_check, "lemma_report.json"),
-    "region": (run_region, "region_report.json"),
-    "classify": (run_classify, "classify_report.json"),
-    "test-inequality": (run_test_inequality, "inequality_report.json"),
-    "necessity": (run_necessity, "necessity_report.json"),
-    "decompose": (run_decompose, "decompose_report.json"),
+    "ball": (run_ball, "ball_report.json", ("h", "delta1", "delta2", "center", "mc", "tau")),
+    "lemma-check": (run_lemma_check, "lemma_report.json", ("q", "r", "p", "grid", "h_rule", "halve_h")),
+    "region": (run_region, "region_report.json", (*_REGION_KEYS, "expect")),
+    "classify": (run_classify, "classify_report.json", ("triples", "margin", *_REGION_KEYS)),
+    "test-inequality": (run_test_inequality, "inequality_report.json",
+                        ("triple", "delta_list", "expect", "h_rule", "halve_h")),
+    "necessity": (run_necessity, "necessity_report.json",
+                  ("triple", "delta_list", "n_translates", "expect_growth", "h_rule", "halve_h")),
+    "decompose": (run_decompose, "decompose_report.json", ("h", "beta", "F", "eta", "c_eta", "C")),
 }
 
 
@@ -376,12 +383,18 @@ def run_scenario(command: str, scenario: dict, out_dir: Path, seed=None, threads
     kind = scenario.get("kind", command)
     if kind != command:
         raise click.UsageError(f"scenario kind '{kind}' does not match command '{command}'")
-    runner, report_name = _RUNNERS[command]
+    runner, report_name, keys = _RUNNERS[command]
     model = load_model(_require(scenario, "model", "model"))
     if command == "region":
         params = scenario.get("parameters", {})
     else:
         params = _require(scenario, "parameters", "parameters")
+    if not isinstance(params, dict):
+        raise click.UsageError("scenario field 'parameters' must be an object")
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        accepted = ", ".join(sorted(set(keys) - set(_REJECTED)))
+        raise click.UsageError(f"unknown parameters.{unknown[0]} for {command}; accepted keys: {accepted}")
     fields, diagnostics = runner(model, params, out_dir, seed, threads)
     report = {"command": command, "parameters": _sanitize(params), **fields,
               "passed": not fields.get("failures")}

@@ -6,6 +6,9 @@ One-dimensional sets here live on the Pi coordinate u = x1 + t; the fibers of
 a superlevel set convert to that coordinate by an exact integer shift, which
 is what makes interval bookkeeping against Pi-slabs of Y exact.
 All dyadic logic requires h to be a dyadic fraction of 1.
+One empty-input rule: is_central, minimal_dyadic, stratify, omega_stats and
+dense_ball_search raise DegenerateError on an empty set, so a StratifyResult,
+which partition and widthbound_check read, always has a selected stratum.
 """
 from __future__ import annotations
 
@@ -22,6 +25,9 @@ from .lattice import LatticeSet, encode_cells
 
 # the constant C of the width bound |J cap F(x)| <= C |J|^eta (2^m beta)^-eta 2^k
 C_WB = 8.0
+# the constants c and varrho of the dense-ball bound c alpha^varrho (a1/d1)^e1 (a2/d2)^e2
+DENSE_C = 1.0 / 16.0
+DENSE_VARRHO = 0.1
 
 
 def _dyadic_level(h: float) -> int:
@@ -242,7 +248,6 @@ class Stratum:
     k: int
     indices: np.ndarray
     pairing: float
-    selected: bool = False
 
 
 @dataclass
@@ -250,23 +255,17 @@ class StratifyResult:
     strata: list
     selected: Stratum
     intervals: np.ndarray  # (level, index) of the minimal dyadic interval I(x), per x
-    beta: float
     eta: float
-    c_eta: float
     verdicts: dict = field(default_factory=dict)
 
 
 def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
     """Assign each x to a stratum by |I(x)| ~ 2^m beta, |I(x) cap F(x)| ~ 2^k
     (floor dyadic rounding) and select the stratum with the largest pairing.
-
-    An empty input yields an empty result (selected is None), not an error.
+    Empty fibers raise DegenerateError.
     """
     if fibs.n == 0:
-        return StratifyResult(
-            strata=[], selected=None, intervals=np.empty((0, 2), dtype=np.int64), beta=fibs.beta,
-            eta=eta, c_eta=c_eta, verdicts={"empty": True},
-        )
+        raise DegenerateError("stratify requires a nonempty superlevel set")
     beta = fibs.beta
     levels, index, in_interval = _minimal_intervals(fibs.rows, fibs.u_cells, fibs.n, fibs.h, eta, c_eta)
     # floor(log2) in scalar math on the few distinct lengths and masses
@@ -281,7 +280,6 @@ def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
         pairing = float(fibs.measures[indices].sum()) * cell_w
         strata.append(Stratum(m=m, k=k, indices=indices, pairing=pairing))
     best = max(strata, key=lambda s: s.pairing)
-    best.selected = True
     count = len(strata)
     # floor rounding halves the nominal lower bounds |I| >= (c_eta beta)^(1/(1-eta))
     # and mass >= c_eta^(1/(1-eta)) beta^(1/(1-eta))
@@ -298,9 +296,7 @@ def stratify(fibs: PiFibers, eta: float, c_eta: float) -> StratifyResult:
         strata=strata,
         selected=best,
         intervals=np.column_stack([levels, index]),
-        beta=beta,
         eta=eta,
-        c_eta=c_eta,
         verdicts=verdicts,
     )
 
@@ -310,8 +306,7 @@ class PartitionFamily:
     """Uniform intervals I_n of length C 2^m beta with E_n, F_n, Omega^n stats."""
 
     interval_length: float
-    n_values: list
-    e_counts: dict
+    e_counts: dict  # keyed by the n of each I_n met by the stratum, ascending
     f_counts: dict
     omega_measure: dict
     alpha1: dict
@@ -336,10 +331,8 @@ def partition(
     verify the localized pairing and the two-sided incidence bounds."""
     if C < 4:
         raise ConfigError("partition requires C >= 4")
-    if strat.selected is None:
-        raise DegenerateError("partition requires a nonempty stratification")
     sel = strat.selected
-    beta = strat.beta
+    beta = fibs.beta
     h = fibs.h
     d = fibs.d
     L = C * 2.0 ** sel.m * beta
@@ -394,9 +387,8 @@ def partition(
         else:
             alpha1[n] = alpha2[n] = 0.0
 
-    total_pair = float(fibs.measures[x_idx].sum()) * h ** d
     verdicts = {
-        "localized_ok": pair_sum >= total_pair - 1e-12,
+        "localized_ok": pair_sum >= sel.pairing - 1e-12,
         "omega_lower_ok": omega_lower_ok,
         "omega_upper_ok": omega_upper_ok,
         "c_prime_lower": c_lower,
@@ -404,7 +396,6 @@ def partition(
     }
     return PartitionFamily(
         interval_length=L,
-        n_values=list(e_counts),
         e_counts=e_counts,
         f_counts=f_counts,
         omega_measure=omega,
@@ -417,15 +408,13 @@ def partition(
 def widthbound_check(fibs: PiFibers, strat: StratifyResult) -> tuple:
     """Width bound |J cap F(x)| <= C_WB |J|^eta (2^m beta)^-eta 2^k for every
     selected-stratum x and every dyadic J.  Returns (ok, worst ratio)."""
-    if strat.selected is None:
-        raise DegenerateError("widthbound_check requires a nonempty stratification")
     sel = strat.selected
     selected = np.zeros(fibs.n, dtype=bool)
     selected[sel.indices] = True
     keep = selected[fibs.rows]
     worst = 0.0
     for lev, _, _, cnt in _dyadic_runs(fibs.rows[keep], fibs.u_cells[keep], _dyadic_level(fibs.h)):
-        bound = C_WB * (2.0 ** -lev) ** strat.eta * (2.0 ** sel.m * strat.beta) ** -strat.eta * 2.0 ** sel.k
+        bound = C_WB * (2.0 ** -lev) ** strat.eta * (2.0 ** sel.m * fibs.beta) ** -strat.eta * 2.0 ** sel.k
         worst = max(worst, float(cnt.max()) * fibs.h / bound)
     return worst <= 1.0 + 1e-9, worst
 
@@ -441,7 +430,7 @@ def delta1_lower_bound_check(
     its measure, with x-fibers inside intervals of width w, forces
     w >= (lambda / C)^(1/eta) * 2^m beta."""
     if n not in part.omega_measure:
-        raise ConfigError(f"n = {n} is not an interval of the partition (n_values {part.n_values})")
+        raise ConfigError(f"n = {n} is not an interval of the partition (n values {list(part.e_counts)})")
     h = fibs.h
     L = part.interval_length
     in_subset = np.zeros(fibs.n, dtype=bool)
@@ -455,7 +444,7 @@ def delta1_lower_bound_check(
     sub_measure = rows.size * h ** (fibs.d + 1)
     w_measured = int((np.maximum.reduceat(u, first) - u[first]).max() + 1) * h
     lam = sub_measure / omega_n
-    w_bound = (lam / C_WB) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * strat.beta
+    w_bound = (lam / C_WB) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * fibs.beta
     return {
         "lambda": lam,
         "w_measured": w_measured,
@@ -519,13 +508,12 @@ def dense_ball_search(
     model: ModelFamily,
     omega: LatticeSet,
     delta_pairs,
-    varrho: float = 0.1,
-    c_const: float = 1.0 / 16.0,
     max_centers: int = 16,
 ) -> SearchResult:
     """Search sampled centers and grid radii for the densest ball in Omega and
     compare the best density against c alpha^varrho (a1/d1)^floor((d+2)/2)
-    (a2/d2)^floor((d+1)/2) and the X/Y-swapped variant."""
+    (a2/d2)^floor((d+1)/2), with c = DENSE_C and varrho = DENSE_VARRHO, and the
+    X/Y-swapped variant."""
     if omega.is_empty:
         raise DegenerateError("dense_ball_search requires a nonempty set")
     h = omega.h
@@ -558,8 +546,8 @@ def dense_ball_search(
     density, z, d1, d2 = best
     e1 = math.floor((d + 2) / 2)
     e2 = math.floor((d + 1) / 2)
-    rhs = c_const * stats.alpha ** varrho * (stats.alpha1 / d1) ** e1 * (stats.alpha2 / d2) ** e2
-    rhs_sw = c_const * stats.alpha ** varrho * (stats.alpha1 / d1) ** e2 * (stats.alpha2 / d2) ** e1
+    rhs = DENSE_C * stats.alpha ** DENSE_VARRHO * (stats.alpha1 / d1) ** e1 * (stats.alpha2 / d2) ** e2
+    rhs_sw = DENSE_C * stats.alpha ** DENSE_VARRHO * (stats.alpha1 / d1) ** e2 * (stats.alpha2 / d2) ** e1
     return SearchResult(
         center=z,
         delta1=d1,

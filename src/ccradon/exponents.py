@@ -97,21 +97,14 @@ class ExponentTriple:
 
 
 def c_from_pq(p, q) -> BallExponents:
-    """(c1, c2) = (1/p, 1 - 1/q) / (1/p - 1/q); requires q > p."""
-    rp, rq = _recip(p), _recip(q)
-    den = rp - rq
-    if den <= 0:
-        raise DegenerateError("c_from_pq requires q > p")
-    return BallExponents(c1=rp / den, c2=(1 - rq) / den)
+    """(c1, c2) = (1/p, 1 - 1/q) / (1/p - 1/q), c_from_pqr at r = q; requires q > p."""
+    return c_from_pqr(p, q, q)
 
 
 def c_from_pqr(p, q, r) -> BallExponents:
-    """(c1, c2) = (1/p + 1/q - 1/r, 1 - 1/r) / (1/p - 1/r); requires r > p."""
-    rp, rq, rr = _recip(p), _recip(q), _recip(r)
-    den = rp - rr
-    if den <= 0:
-        raise DegenerateError("c_from_pqr requires r > p")
-    return BallExponents(c1=(rp + rq - rr) / den, c2=(1 - rr) / den)
+    """(c1, c2) = (g1 + g3, g2) = (1/p + 1/q - 1/r, 1 - 1/r) / (1/p - 1/r); requires r > p."""
+    g1, g2, g3 = gammas(p, q, r)
+    return BallExponents(c1=g1 + g3, c2=g2)
 
 
 def gammas(p, q, r) -> tuple:
@@ -119,7 +112,7 @@ def gammas(p, q, r) -> tuple:
     rp, rq, rr = _recip(p), _recip(q), _recip(r)
     den = rp - rr
     if den <= 0:
-        raise DegenerateError("gammas requires r > p")
+        raise DegenerateError(f"(p, q, r) = ({p}, {q}, {r}) requires r > p")
     return (rp / den, (1 - rr) / den, (rq - rr) / den)
 
 

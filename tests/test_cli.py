@@ -261,6 +261,13 @@ DECOMPOSE_REPORT_PINS = {
     6: "0d5ca7d615ca4143258c6a943230b31dda4940669bbb59c4734488ba3d7e5d31",
     7: "82a69170869162e2ddd77e1e4963be258a6b2c7dfea41649b0c9b571afbce5d9",
 }
+# sha256 of strata.csv and partition.csv for the same scenarios
+DECOMPOSE_CSV_PINS = {
+    6: {"strata.csv": "ce7e533049f54c2ba4ffdd5e64b6f3f47faae70b137c657df71e8e4224493601",
+        "partition.csv": "62a545f709e61c977b77d1631275e70025ec1382b78b7eed8824e1253e69d374"},
+    7: {"strata.csv": "b50851ad779da52050c4da6cf43a735062be013e7de1df9999016c000ddd1a8c",
+        "partition.csv": "d8c8ccf4a8b7def6d7fcf345473e7429c18ec2fa1fb4e7dea5aa5df11e90b769"},
+}
 
 
 @pytest.mark.parametrize("k", sorted(DECOMPOSE_REPORT_PINS))
@@ -277,7 +284,9 @@ def test_decompose_report_pinned(runner, tmp_path, k):
     out = tmp_path / "out"
     result = runner.invoke(main, ["decompose", "--scenario", scen, "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert hashlib.sha256((out / "decompose_report.json").read_bytes()).hexdigest() == DECOMPOSE_REPORT_PINS[k]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("decompose_report.json", "strata.csv", "partition.csv")}
+    assert digests == {"decompose_report.json": DECOMPOSE_REPORT_PINS[k], **DECOMPOSE_CSV_PINS[k]}
 
 
 @pytest.mark.parametrize("k", [6, 7])
@@ -485,3 +494,35 @@ class TestDeterminism:
             assert result.exit_code == 0, result.output
             payloads.append((out / "region_report.json").read_bytes() + (out / "region.csv").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+# (command, a valid parameters dict, a mistyped key, a key the command reads)
+MISTYPED_KEYS = [
+    ("ball", BALL_SCENARIO["parameters"], "centre", "center"),
+    ("lemma-check", LEMMA_SCENARIO["parameters"], "theta_list", "grid"),
+    ("region", REGION_SWEEP["parameters"], "delta_grids", "delta_grid"),
+    ("classify", {"triples": [{"triple": ["5/3", 3, 3]}]}, "marign", "margin"),
+    ("test-inequality", {"triple": ["5/3", 3, 3], "delta_list": [0.125, 0.0625]}, "expcet", "expect"),
+    ("necessity", {"triple": [1.25, 1, "inf"], "delta_list": [[0.125, 0.125]]}, "expect_grwoth", "expect_growth"),
+    ("decompose", {"h": 2.0 ** -6, "beta": 0.05, "F": {"rects": [[[0.2, 0.26], [-0.9, 0.9]]]}}, "c_eat", "c_eta"),
+]
+
+
+@pytest.mark.parametrize("command, params, key, accepted", MISTYPED_KEYS, ids=[m[0] for m in MISTYPED_KEYS])
+def test_unknown_parameter_rejected(runner, tmp_path, command, params, key, accepted):
+    # a mistyped key used to be ignored: "expcet" ran test-inequality with no expectation
+    scen = write_scenario(tmp_path, {"kind": command, "model": "parabola", "seed": 1,
+                                     "parameters": {**params, key: 1}})
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"unknown parameters.{key} for {command}" in result.output
+    assert accepted in result.output.split("accepted keys:")[1]
+    assert not out.exists()
+
+
+def test_parameters_must_be_an_object(runner, tmp_path):
+    scen = write_scenario(tmp_path, {"kind": "decompose", "model": "parabola", "parameters": [{"h": 0.125}]})
+    result = runner.invoke(main, ["decompose", "--scenario", scen, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "'parameters' must be an object" in result.output

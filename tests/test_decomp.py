@@ -143,9 +143,9 @@ class TestStratifyPartition:
     def test_single_slab_single_triple(self, slab_setup):
         model, F, fibs, strat = slab_setup
         part = partition(model, fibs, strat, F, C=8.0)
-        nonempty_e = [n for n in part.n_values if part.e_counts[n] > 0]
+        nonempty_e = [n for n in part.e_counts if part.e_counts[n] > 0]
         assert max(nonempty_e) - min(nonempty_e) <= 1
-        nonempty_f = [n for n in part.n_values if part.f_counts[n] > 0]
+        nonempty_f = [n for n in part.e_counts if part.f_counts[n] > 0]
         assert max(nonempty_f) - min(nonempty_f) <= 2
 
     def test_widthbound(self, slab_setup):
@@ -156,7 +156,7 @@ class TestStratifyPartition:
     def test_delta1_bound(self, slab_setup):
         model, F, fibs, strat = slab_setup
         part = partition(model, fibs, strat, F, C=8.0)
-        n = max(part.n_values, key=lambda n: part.omega_measure[n])
+        n = max(part.e_counts, key=lambda n: part.omega_measure[n])
         sel = strat.selected.indices
         res = delta1_lower_bound_check(fibs, strat, part, n, sel[: max(1, len(sel) // 2)])
         assert res["ok"]
@@ -164,7 +164,7 @@ class TestStratifyPartition:
     def test_delta1_unknown_n_names_it(self, slab_setup):
         model, F, fibs, strat = slab_setup
         part = partition(model, fibs, strat, F, C=8.0)
-        bad = max(part.n_values) + 5
+        bad = max(part.e_counts) + 5
         with pytest.raises(ConfigError, match=f"n = {bad} "):
             delta1_lower_bound_check(fibs, strat, part, bad, strat.selected.indices)
 
@@ -172,7 +172,7 @@ class TestStratifyPartition:
         # an empty subset carries lambda = 0, which would pass vacuously
         model, F, fibs, strat = slab_setup
         part = partition(model, fibs, strat, F, C=8.0)
-        n = max(part.n_values, key=lambda n: part.omega_measure[n])
+        n = max(part.e_counts, key=lambda n: part.omega_measure[n])
         with pytest.raises(DegenerateError):
             delta1_lower_bound_check(fibs, strat, part, n, [])
 
@@ -192,7 +192,7 @@ class TestStratifyPartition:
         qc, rc = 3.0, 1.5
         L = part.interval_length
         total = 0.0
-        for n in part.n_values:
+        for n in part.e_counts:
             w_lo, w_hi = (n - 1) * L, (n + 2) * L
             mask = (F.cells[:, 0] * h >= w_lo - 1e-15) & (F.cells[:, 0] * h < w_hi - 1e-15)
             if mask.any():
@@ -200,19 +200,12 @@ class TestStratifyPartition:
         assert total <= 3.0 * mixed_norm_indicator(F, qc, rc) ** qc + 1e-12
 
 
-def test_stratify_empty_input_yields_empty_result():
+def test_stratify_empty_input_is_degenerate():
     fibs = PiFibers(h=2.0 ** -7, d=2, beta=0.1,
                     x_cells=np.empty((0, 2), dtype=np.int64), rows=np.empty(0, dtype=np.int64),
                     u_cells=np.empty(0, dtype=np.int64), measures=np.empty(0))
-    res = stratify(fibs, eta=0.125, c_eta=0.25)
-    assert res.strata == [] and res.selected is None
-    assert res.verdicts.get("empty")
-
-
-def test_widthbound_empty_stratification_is_degenerate():
-    fibs = flat_fibers([], 2.0 ** -7)
-    with pytest.raises(DegenerateError, match="nonempty stratification"):
-        widthbound_check(fibs, stratify(fibs, eta=0.125, c_eta=0.25))
+    with pytest.raises(DegenerateError, match="nonempty superlevel set"):
+        stratify(fibs, eta=0.125, c_eta=0.25)
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +281,7 @@ def test_widthbound_and_localization_match_block_loop(rows, eta, i_level):
 
     worst = 0.0
     for lev in range(LEVEL + 1):
-        bound = C_WB * (2.0 ** -lev) ** eta * (2.0 ** sel.m * strat.beta) ** -eta * 2.0 ** sel.k
+        bound = C_WB * (2.0 ** -lev) ** eta * (2.0 ** sel.m * fibs.beta) ** -eta * 2.0 ** sel.k
         for r in sel.indices.tolist():
             worst = max([worst] + [mass(rows[r], lev, j) / bound for j in range(-(1 << lev), 1 << lev)])
     ok, got = widthbound_check(fibs, strat)
@@ -328,9 +321,8 @@ def test_widthbound_exhaustive_finds_block_that_draws_miss():
     rows = [{-40, -8, 24, 56} for _ in range(20)]
     rows[7] = set(range(16, 24))
     fibs = flat_fibers(rows, h, beta=0.25)
-    sel = Stratum(m=0, k=-6, indices=np.arange(20), pairing=1.0, selected=True)
-    strat = StratifyResult(strata=[sel], selected=sel, intervals=np.zeros((20, 2), dtype=np.int64),
-                           beta=0.25, eta=0.5, c_eta=0.25)
+    sel = Stratum(m=0, k=-6, indices=np.arange(20), pairing=1.0)
+    strat = StratifyResult(strata=[sel], selected=sel, intervals=np.zeros((20, 2), dtype=np.int64), eta=0.5)
     # 100 seeded (row, level, index) draws, as a sampled check takes them, miss J
     rng = np.random.default_rng(0)
     draws = set()
@@ -350,7 +342,7 @@ def test_widthbound_exhaustive_finds_block_that_draws_miss():
 def reference_partition(model, fibs, strat, F, C):
     """Pure-Python partition, one member at a time: E_n from each I(x), and
     the Omega^n cells, projections and verdicts window by window."""
-    sel, beta, h, d = strat.selected, strat.beta, fibs.h, fibs.d
+    sel, beta, h, d = strat.selected, fibs.beta, fibs.h, fibs.d
     fibers_u = np.split(fibs.u_cells, np.cumsum(np.bincount(fibs.rows, minlength=fibs.n))[:-1])
     L = C * 2.0 ** sel.m * beta
     e_members = {}
@@ -392,7 +384,6 @@ def reference_partition(model, fibs, strat, F, C):
     total_pair = float(fibs.measures[sel.indices].sum()) * h ** d
     return {
         "interval_length": L,
-        "n_values": sorted(e_members),
         "e_counts": {n: len(v) for n, v in e_members.items()},
         "f_counts": f_counts,
         "omega_measure": omega,
@@ -433,9 +424,11 @@ def test_partition_matches_reference_on_random_sets(models, name):
             fibs = to_pi_fibers(sl)
             strat = stratify(fibs, eta=float(rng.uniform(0.1, 0.6)), c_eta=float(rng.uniform(0.05, 0.3)))
             C = float(rng.choice([4.0, 8.0]))
-            if C * 2.0 ** strat.selected.m * strat.beta <= h:
+            if C * 2.0 ** strat.selected.m * fibs.beta <= h:
                 continue
-            assert vars(partition(model, fibs, strat, F, C=C)) == reference_partition(model, fibs, strat, F, C)
+            part = partition(model, fibs, strat, F, C=C)
+            assert vars(part) == reference_partition(model, fibs, strat, F, C)
+            assert list(part.e_counts) == sorted(part.e_counts)  # partition.csv row order
             checked += 1
     assert checked >= 6
 
@@ -473,7 +466,7 @@ class TestDenseBallSearch:
         d = 2.0 ** -4
         h = d / 8
         ball = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, h)
-        res = dense_ball_search(parabola, ball.cells, [(d, d)], varrho=0.1)
+        res = dense_ball_search(parabola, ball.cells, [(d, d)])
         assert res.density == pytest.approx(1.0)
         assert res.meets_bound and res.meets_swapped
 
@@ -490,7 +483,7 @@ class TestDenseBallSearch:
         b1 = reach_ball(parabola, (-0.5, 0.0, 0.0), d, d, h)
         b2 = reach_ball(parabola, (0.5, 0.0, 0.0), d, d, h)
         omega = b1.cells.union(b2.cells)
-        res = dense_ball_search(parabola, omega, [(d, d)], varrho=0.1, max_centers=24)
+        res = dense_ball_search(parabola, omega, [(d, d)], max_centers=24)
         assert res.density >= 0.5
 
     def test_random_sprinkling(self, parabola, rng):
@@ -498,5 +491,5 @@ class TestDenseBallSearch:
         box = LatticeSet.from_box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], h)
         keep = rng.random(box.n_cells) < 0.1
         omega = LatticeSet(h, box.cells[keep])
-        res = dense_ball_search(parabola, omega, [(0.25, 0.25)], varrho=0.1, max_centers=8)
+        res = dense_ball_search(parabola, omega, [(0.25, 0.25)], max_centers=8)
         assert res.density >= 0.05
