@@ -185,16 +185,8 @@ def _farthest_in_box(idx: np.ndarray, dist: np.ndarray, box: int) -> np.ndarray:
     return first[np.flatnonzero(first < n)]
 
 
-def _box_index(rel: np.ndarray, job: np.ndarray, n_jobs: int) -> tuple:
-    """Row-major index of (job, cell offset) in the bounding box of the offsets.
-
-    ``rel`` holds the refined-cell offsets from each point's centre cell,
-    (d+1, m, n) with ``job`` the column's job; it is overwritten.  Index
-    order is lexicographic (job, x..., t) order, the order of the packed
-    cell keys.  Returns the (m n,) index and the box's cell count, which
-    must fit int64.
-    """
-    lo, hi = rel.min(axis=(1, 2)), rel.max(axis=(1, 2))
+def _box_strides(lo: np.ndarray, hi: np.ndarray, n_jobs: int) -> tuple:
+    """Row-major strides of the offset box [lo, hi] and the cell count of ``n_jobs`` boxes, which must fit int64."""
     spans = (hi - lo + 1).tolist()
     box = n_jobs * math.prod(spans)
     if box >= 1 << 63:
@@ -202,11 +194,7 @@ def _box_index(rel: np.ndarray, job: np.ndarray, n_jobs: int) -> tuple:
             f"dedup box index out of int64 range: the box needs < 2^63 cells, got {box} "
             f"({n_jobs} jobs x offset spans {spans}); lattice too fine"
         )
-    rel -= lo[:, None, None]
-    rel *= np.cumprod([1] + spans[:0:-1])[::-1, None, None]  # row-major strides of the offset axes
-    idx = rel.sum(axis=0)
-    idx += job * (box // n_jobs)
-    return idx.ravel(), box
+    return np.cumprod([1] + spans[:0:-1])[::-1], box
 
 
 def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau: float, z0s: np.ndarray,
@@ -215,39 +203,69 @@ def _expand(model: ModelFamily, active: np.ndarray, job: np.ndarray, a1, a2, tau
     pair of the control grid ``a1`` x ``a2`` (one ``rk4_many`` block).
 
     ``job`` is each active point's column of ``z0s``, the batch's centres,
-    in ascending order.  Returns the pool as column storage (d+1, m n),
-    control-major in grid order, with each point's box index of its refined
-    cell (``_box_index``), the box's cell count, each point's squared
-    distance to its centre and the chart mask.  Cells and distances run on
-    chunks of ``ROUND_CHUNK`` active points so that temporaries stay
-    cache-sized.  Points outside the chart take their centre's cell, so
-    they do not widen the box, and the caller drops them.
+    in ascending order.  Control (0, 0) maps each active point to itself,
+    so every job has a point inside the chart.  Returns the pool as column
+    storage (d+1, m n), control-major in grid order, each point's index in
+    the round's box of (job, refined-cell offset from the centre's cell),
+    the box's cell count, each point's squared distance to its centre, and
+    the chart mask, or None when every point is inside.  Index order is
+    lexicographic (job, x..., t) order, the order of the packed cell keys.
+
+    The refined cell floor(x / h_rep + 1/2) is monotone in x, so each job's
+    offset bounds are the cells of its extreme pool coordinates.  Only when
+    those leave the chart is each point tested; the bounds then run over the
+    inside points and take in offset 0, where the box counts the dropped
+    ones.  The box and each job's index base are so known before any cell
+    is, and one pass over chunks of ``ROUND_CHUNK`` active points writes
+    indices and distances through two reused chunk-sized scratch arrays.
+    Indices of points outside the chart are meaningless and may leave the
+    box; the caller drops those points.
     """
-    dim, m, n = model.dim_z, a1.shape[0] * a2.shape[0], active.shape[1]
+    dim, p, q, n, n_jobs = model.dim_z, a1.shape[0], a2.shape[0], active.shape[1], z0s.shape[1]
     pool = rk4_many(model, active, a1, a2, tau)
+    inside = None
+    lo_x, hi_x = pool.min(axis=1), pool.max(axis=1)
+    if not model.contains(np.stack((lo_x.min(axis=1), hi_x.max(axis=1)), axis=1)).all():
+        inside = model.contains(pool)
+        lo_x, hi_x = pool.min(axis=1, initial=np.inf, where=inside), pool.max(axis=1, initial=-np.inf, where=inside)
+    starts = np.searchsorted(job, np.arange(n_jobs))
     home = points_to_cells(z0s, h_rep)
-    rel = np.empty((dim, m, n), dtype=np.int64)
-    dist = np.zeros((m, n))
-    inside = np.empty((m, n), dtype=bool)
-    for lo in range(0, n, ROUND_CHUNK):
-        cols = slice(lo, lo + ROUND_CHUNK)
-        block = pool[:, :, cols]
+    lo = (points_to_cells(np.minimum.reduceat(lo_x, starts, axis=1), h_rep) - home).min(axis=1)
+    hi = (points_to_cells(np.maximum.reduceat(hi_x, starts, axis=1), h_rep) - home).max(axis=1)
+    if inside is not None:
+        lo, hi = np.minimum(lo, 0), np.maximum(hi, 0)
+    strides, box = _box_strides(lo, hi, n_jobs)
+    # index = sum of cell * stride + base[job]; int64 wraps, and the true index lies in [0, 2^63)
+    base = np.arange(n_jobs, dtype=np.int64) * (box // n_jobs) - strides @ (home + lo[:, None])
+    x = pool.reshape(dim, p, q, n)
+    idx, dist = np.empty((p, q, n), dtype=np.int64), np.empty((p, q, n))
+    fbuf, ibuf = np.empty((p, q, min(n, ROUND_CHUNK))), np.empty((p, q, min(n, ROUND_CHUNK)), dtype=np.int64)
+    for c0 in range(0, n, ROUND_CHUNK):
+        cols, w = slice(c0, c0 + ROUND_CHUNK), min(ROUND_CHUNK, n - c0)
         jobs = job[cols]
-        # actives are stored job by job, so most chunks subtract one centre column
+        # actives are stored job by job, so most chunks take one centre column
         one = jobs[:1] if jobs[0] == jobs[-1] else jobs
-        centres = z0s.take(one, axis=1)
-        ok = model.contains(block)
-        inside[:, cols] = ok
-        np.subtract(points_to_cells(block, h_rep), home.take(one, axis=1)[:, None, :], out=rel[:, :, cols])
-        if not ok.all():
-            rel[:, :, cols][:, ~ok] = 0
-        # summed left to right, as np.sum over a row of coordinates does
-        for coord, c0 in zip(block, centres):
-            dx = coord - c0
-            dx *= dx
-            dist[:, cols] += dx
-    idx, box = _box_index(rel, job, z0s.shape[1])
-    return pool.reshape(dim, -1), idx, box, dist.ravel(), inside.ravel()
+        out_idx, out_dist = idx[:, :, cols], dist[:, :, cols]
+        for axis in range(dim):
+            # gamma_1 = t, so x1 moves by -a2 alone: one a1 row serves every row
+            rows = slice(0, 1) if axis == 0 else slice(None)
+            xa, fa, ga = x[axis, rows, :, cols], fbuf[rows, :, :w], ibuf[rows, :, :w]
+            np.divide(xa, h_rep, out=fa)
+            fa += 0.5
+            np.floor(fa, out=fa)
+            ga[...] = fa
+            if strides[axis] != 1:
+                ga *= strides[axis]
+            np.subtract(xa, z0s[axis].take(one), out=fa)
+            fa *= fa
+            if axis == 0:
+                ga += base.take(one)
+                out_idx[...] = ga
+                out_dist[...] = fa
+            else:  # distances summed left to right, as np.sum over a row of coordinates does
+                out_idx += ga
+                out_dist += fa
+    return pool.reshape(dim, -1), idx.ravel(), box, dist.ravel(), None if inside is None else inside.ravel()
 
 
 def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: float) -> list:
@@ -267,10 +285,11 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
     Centres share the rounds and controls, so up to ``MAX_BATCH`` of them run
     as one fixpoint over their concatenated actives.  Refined cells are
     grouped by their index in the round's box of (job, offset from the
-    centre's cell), and visited keys carry the job index above the cell
-    bits.  Every dedup group and visited cell then belongs to one job, and
-    each job keeps its own pool order, so every ball equals its one-centre
-    run bit for bit.
+    centre's cell), which ``_expand`` bounds from the pool's extreme
+    coordinates, and visited keys carry the job index above the cell bits.
+    Every dedup group and visited cell then belongs to one job, and each
+    job keeps its own pool order, so every ball equals its one-centre run
+    bit for bit.
     """
     _check_radii(delta1, delta2, h)
     z0s = np.array([as_zarray(z, model.dim_z) for z in centers]).reshape(-1, model.dim_z).T
@@ -297,7 +316,7 @@ def reach_balls(model: ModelFamily, centers, delta1: float, delta2: float, h: fl
             # One representative per refined cell, preferring the point farthest
             # from its centre: slow interior landings must not hijack the fronts.
             # Control (0, 0) maps each point to itself, so every job keeps a point.
-            if inside.all():
+            if inside is None:
                 dropped, pick = np.zeros(n_jobs, dtype=np.int64), _farthest_in_box(idx, dist, box)
             else:
                 dropped = np.bincount(job[np.flatnonzero(~inside) % n], minlength=n_jobs)

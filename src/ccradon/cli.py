@@ -200,11 +200,14 @@ def run_lemma_check(model, params: dict, out_dir: Path, seed, threads: int):
     rows = []
     failures = []
     for rep in reports:
+        where = f"theta={rep['theta']} d1={rep['delta1']:g} h={rep['h']:g}"
+        if rep["truncated"]:
+            failures.append(f"ball pair truncated by the chart at {where}")
         for key, val in rep["ratios"].items():
             lo, hi = calibration.LEMMA_BANDS[key]
             ok = lo <= val <= hi
             if not ok:
-                failures.append(f"ratio {key}={val:.4g} at theta={rep['theta']} d1={rep['delta1']:g} h={rep['h']:g}")
+                failures.append(f"ratio {key}={val:.4g} at {where}")
             rows.append([rep["theta"], rep["delta1"], rep["delta2"], rep["h"], key, val, lo, hi, int(ok)])
     _write_csv(out_dir, "lemma_ratios.csv",
                ["theta", "delta1", "delta2", "h", "ratio", "value", "band_lo", "band_hi", "ok"], rows)
@@ -261,7 +264,7 @@ def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
             outcome = {"detail": str(exc)}
         results.append({"triple": [str(t) for t in trip], "label": label, **outcome})
         if expect not in (None, label):
-            failures.append(f"triple {trip}: want {expect}, got {label}")
+            failures.append(f"triple {', '.join(map(str, trip))}: want {expect}, got {label}")
     return {"resolved": {"margin": margin}, "meta": _sanitize(region.meta), "results": results,
             "failures": failures}, {"jobs": region.jobs}
 

@@ -192,6 +192,21 @@ def eval_fields(model: ModelFamily, z) -> tuple:
     return tuple(npoly.polyval(arr[-1], _field_matrix(model, j)) for j in (1, 2))
 
 
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``npoly.polyval(x, coef)`` over the columns of ``coef``, (deg+1, m) ->
+    (m,) + x.shape, bit for bit for finite x while the leading coefficients
+    are not -0.0, without polyval's ``coef[-1] + x*0`` seed pass."""
+    c = coef.reshape(coef.shape + (1,) * x.ndim)
+    if c.shape[0] == 1:
+        return c[0] + x * 0.0
+    acc = c[-1] * x
+    acc += c[-2]
+    for ck in c[-3::-1]:
+        acc *= x
+        acc += ck
+    return acc
+
+
 def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarray:
     """One classical RK4 step of phi' = a1 V1 + a2 V2 over a grid of controls.
 
@@ -204,7 +219,7 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
     on gamma' at t, t + dt v/2, t + dt v (v = a1 + a2): exact while gamma has
     degree <= 4.  gamma_1' == 1, so x1 moves like t, by -a2 in place of v.
     The grid is one broadcast block, bit for bit in the classical operation
-    order: k1 is shared by every a1, and each Simpson node is one polyval.
+    order: k1 is shared by every a1, and each Simpson node is one Horner pass.
     """
     d = model.d
     x, t = pts[1:d], pts[d]  # x2 .. xd; x1 moves like t
@@ -221,8 +236,8 @@ def rk4_many(model: ModelFamily, pts: np.ndarray, a1, a2, dt: float) -> np.ndarr
         out[1:d, :, ~live] = x[:, None, None]
         ma2, v, xs = ma2[live], v.compress(live, axis=1), None
     dcoef = model._dcoef[:, 1:]  # gamma_2' .. gamma_d'
-    k1 = ma2 * npoly.polyval(t, dcoef)[:, None]  # (d-1, q, n)
-    dg_mid, dg_end = (npoly.polyval(t + s * dt * v, dcoef) for s in (0.5, 1.0))
+    k1 = ma2 * _horner(dcoef, t)[:, None]  # (d-1, q, n)
+    dg_mid, dg_end = (_horner(dcoef, t + s * dt * v) for s in (0.5, 1.0))
     two_k2 = np.multiply(ma2, dg_mid, out=dg_mid)
     two_k2 *= 2.0
     incr = np.add(k1[:, None], two_k2, out=xs)

@@ -10,7 +10,8 @@ from ccradon import calibration, ccball
 from ccradon.ccball import (
     JOB_SHIFT,
     ComparabilityWindow,
-    _box_index,
+    _box_strides,
+    _expand,
     _farthest_in_box,
     default_tau,
     lemma_balls_report,
@@ -202,12 +203,14 @@ class TestFarthestPerKey:
         # dense and the compacted box index, pick the same points in the same
         # order: the box index orders like the packed keys.
         job = np.array([r[0] for r in rows], dtype=np.int64)
-        rel = np.array([[r[1] for r in rows], [r[2] for r in rows]], dtype=np.int64)[:, None, :]
+        rel = np.array([[r[1] for r in rows], [r[2] for r in rows]], dtype=np.int64)
         dist = np.array([0.25 * r[3] for r in rows])
-        keys = encode_cells(rel[:, 0].T) | (job << JOB_SHIFT)
+        keys = encode_cells(rel.T) | (job << JOB_SHIFT)
         want = _lexsort_first_of_group(keys, dist).tolist()
         assert _farthest_in_box(keys, dist, keys.max() + 1).tolist() == want
-        idx, box = _box_index(rel.copy(), job, 3)
+        lo = rel.min(axis=1)
+        strides, box = _box_strides(lo, rel.max(axis=1), 3)
+        idx = strides @ (rel - lo[:, None]) + job * (box // 3)
         assert idx.min() >= 0 and idx.max() < box
         for factor in (1 << 40, 0):  # every box dense, every box compacted
             with mock.patch.object(ccball, "DENSE_BOX_FACTOR", factor):
@@ -228,10 +231,47 @@ class TestFarthestPerKey:
 
 def test_box_index_range_named():
     # four offset axes spanning 2^16 cells each make a 2^64-cell box
-    rel = np.array([[-(1 << 15), (1 << 15) - 1]] * 4, dtype=np.int64)[:, None, :]
+    lo, hi = np.full(4, -(1 << 15), dtype=np.int64), np.full(4, (1 << 15) - 1, dtype=np.int64)
     with pytest.raises(ConfigError, match=r"dedup box index out of int64 range: the box needs < 2\^63 cells, "
                                           r"got 18446744073709551616"):
-        _box_index(rel, np.zeros(2, dtype=np.int64), 1)
+        _box_strides(lo, hi, 1)
+
+
+@pytest.mark.parametrize("name, centers, d1, d2", [
+    ("parabola", ((0.0, 0.0, 0.0), (0.0, 0.0, 0.96), (0.5, -0.97, 0.3)), 0.125, 0.125),
+    ("cubic", ((0.97, 0.1, 0.0, -0.2), (0.0, 0.0, 0.0, 0.0)), 2.0 ** -4, 2.0 ** -3),
+], ids=["parabola", "cubic"])
+def test_expand_index_matches_packed_offsets(models, name, centers, d1, d2, monkeypatch):
+    # seeded actives on one side of each centre, some of whose steps leave
+    # the chart, in chunks of 7 that straddle jobs.  Oracle: the refined cell
+    # offsets from the centre's cell, zeroed outside the chart, packed under
+    # the job bits; the box is the product of their spans (offset 0 among
+    # them, which no inside point has) per job
+    model = models[name]
+    rng = np.random.default_rng(7)
+    z0s = np.array(centers).T
+    sizes = [5, 17, 9][:z0s.shape[1]]
+    job = np.repeat(np.arange(len(sizes)), sizes)
+    active = z0s[:, job] + rng.uniform(0.01, 0.05, size=(model.dim_z, job.size))
+    active = np.clip(active, -1.0, 1.0)
+    a1, a2 = np.array([[-d1, 0.0, d1], [-d2, 0.0, d2]])[:, :, None]
+    h_rep = 2.0 ** -8
+    monkeypatch.setattr(ccball, "ROUND_CHUNK", 7)
+    pool, idx, box, dist, inside = _expand(model, active, job, a1, a2, 1.0 / 32.0, z0s, h_rep)
+    assert inside is not None and not inside.all()
+    pool_job = np.tile(job, 9)
+    assert np.array_equal(inside, model.contains(pool))
+    rel = points_to_cells(pool, h_rep) - points_to_cells(z0s, h_rep)[:, pool_job]
+    assert (rel[:, inside] > 0).all()
+    rel[:, ~inside] = 0
+    keys = encode_cells(rel.T) | (pool_job << JOB_SHIFT)
+    assert box == len(sizes) * int(np.prod(rel.max(axis=1) - rel.min(axis=1) + 1))
+    want_dist = np.sum((pool - z0s[:, pool_job]).T ** 2, axis=1)
+    assert dist.tobytes() == want_dist.tobytes()
+    kept = np.flatnonzero(inside)
+    assert idx[kept].min() >= 0 and idx[kept].max() < box
+    want = kept[_lexsort_first_of_group(keys[kept], want_dist[kept])]
+    assert np.array_equal(kept[_farthest_in_box(idx[kept], dist[kept], box)], want)
 
 
 def test_diagnostics_count_the_fixpoint(parabola):

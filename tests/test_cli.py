@@ -192,6 +192,21 @@ def test_lemma_check_region_sweep_scenario(runner, tmp_path):
         assert lo <= float(row["value"]) <= hi and row["ok"] == "1"
 
 
+def test_lemma_check_truncated_balls_fail(runner, tmp_path):
+    # d1 = d2 = 3/8 at the origin: the doubled ball reaches past the chart
+    # at theta = 1 and 0.5, and each truncated pair fails the run by name
+    scenario = json.loads(json.dumps(LEMMA_SCENARIO))
+    scenario["parameters"]["grid"] = {"theta_list": [1.0, 0.5], "delta1_list": [0.375]}
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["lemma-check", "--scenario", write_scenario(tmp_path, scenario), "--out", str(out)])
+    assert result.exit_code == 1
+    report = json.loads((out / "lemma_report.json").read_text())
+    assert [rep["truncated"] for rep in report["results"]] == [True, True]
+    assert report["passed"] is False
+    assert report["failures"] == [f"ball pair truncated by the chart at theta={theta} d1=0.375 h=0.09375"
+                                  for theta in (1.0, 0.5)]
+
+
 class TestInequalityCommand:
     def test_bounded_verdict(self, runner, tmp_path):
         scen = write_scenario(
@@ -382,7 +397,8 @@ class TestClassifyCommand:
 
     def test_unexpected_ordering_error_fails(self, runner, tmp_path):
         # (4, 3, 2) violates the exponent ordering, so the triple's label is
-        # ordering-error; an entry that expects another label must fail by name
+        # ordering-error; an entry that expects another label must fail by name,
+        # and failures print each triple as its results entry does
         scen = write_scenario(
             tmp_path,
             {
@@ -394,7 +410,8 @@ class TestClassifyCommand:
                     "c1_grid": {"start": 1.8, "stop": 2.2, "step": 0.1},
                     "c2_grid": {"start": 1.8, "stop": 2.2, "step": 0.1},
                     "z_samples": [[0.0, 0.0, 0.0]],
-                    "triples": [{"triple": [4, 3, 2], "expect": "interior"}],
+                    "triples": [{"triple": [4, 3, 2], "expect": "interior"},
+                                {"triple": ["5/3", 3, 3], "expect": "outside"}],
                 },
             },
         )
@@ -402,8 +419,12 @@ class TestClassifyCommand:
         result = runner.invoke(main, ["classify", "--scenario", scen, "--out", str(out)])
         assert result.exit_code == 1
         report = json.loads((out / "classify_report.json").read_text())
-        assert report["failures"]
-        assert "(4, 3, 2)" in result.output
+        assert [entry["triple"] for entry in report["results"]] == [["4", "3", "2"], ["5/3", "3", "3"]]
+        label = report["results"][1]["label"]
+        assert label != "outside"
+        assert report["failures"] == ["triple 4, 3, 2: want interior, got ordering-error",
+                                      f"triple 5/3, 3, 3: want outside, got {label}"]
+        assert "triple 4, 3, 2: want interior" in result.output
 
 
 # sha256 of the region outputs for the scenario of the region_sweep benchmark

@@ -62,6 +62,7 @@ def exact_constant_control_step(curve, x, t, a1, a2, tau):
 EXTRA_CURVES = {
     "degree8": [[0, 1], [0, 0.3, 1, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9]],
     "signed_zero": [[0, 1], [-0.0, -0.0, 1]],
+    "flat": [[0, 1], [0]],
 }
 
 
@@ -179,13 +180,13 @@ class TestFlow:
         model = models.get(name) or load_model({"curve": EXTRA_CURVES[name]})
         stepped = []  # a2 rows of each Simpson node evaluation, (p, q, n) over the grid
 
-        def spy(x, c):
+        def spy(c, x):
             if np.ndim(x) == 3:
                 stepped.append(x.shape[1])
-            return polyval(x, c)
+            return horner(c, x)
 
-        polyval = geometry.npoly.polyval
-        monkeypatch.setattr(geometry.npoly, "polyval", spy)
+        horner = geometry._horner
+        monkeypatch.setattr(geometry, "_horner", spy)
         n = 12
         t_zeros = rng.uniform(-0.5, 0.5, size=(model.dim_z, n))
         t_zeros[-1, :4] = [0.0, -0.0, -0.0, 0.0]
@@ -209,6 +210,17 @@ class TestFlow:
                 per_point = rk4_many(model, pts, a1, a2, dt)[:, 0]
                 want = np.array([textbook_rk4_step(model.curve, pts[:, i], a1[i], a2[i], dt) for i in range(n)]).T
                 assert per_point.tobytes() == want.tobytes(), (name, dt)
+
+    @pytest.mark.parametrize("name", ["parabola", "quartic", "cubic", "degree8", "signed_zero", "flat"])
+    def test_horner_is_polyval_bit_for_bit(self, models, rng, name):
+        # rk4_many's gamma' evaluations: every column of _dcoef (one constant
+        # row for the flat curve) at +-0.0 and at seeded t of both signs, on
+        # a one-axis and on a (p, q, n) argument
+        model = models.get(name) or load_model({"curve": EXTRA_CURVES[name]})
+        t = np.concatenate(([0.0, -0.0], rng.uniform(-1.0, 1.0, size=16)))
+        for x in (t, t.reshape(3, 2, 3)):
+            want = geometry.npoly.polyval(x, model._dcoef)
+            assert geometry._horner(model._dcoef, x).tobytes() == want.tobytes(), name
 
     def test_rk4_step_within_simpson_bound_for_degree_8(self, rng):
         # Simpson's rule on [t, t + v tau]: |error in x_i| <= |a2| tau (|v| tau)^4 / 2880 max|gamma_i^(5)|
