@@ -19,7 +19,7 @@ from .mixednorm import conjugate, mixed_norm_indicator, reciprocal
 
 MAX_RADIUS = 0.75
 MC_CONTROL_PIECES = 8  # random controls are piecewise constant on this many pieces
-ROUND_CHUNK = 8192  # active points whose pool cells and distances a reach_ball round takes together
+ROUND_CHUNK = 8192  # columns one cache-sized pass takes at once: a reach_balls round's actives, or a block of paths
 JOB_SHIFT = 60  # encode_cells keys fit in 60 bits; a batched fixpoint keeps its job index above them
 DENSE_BOX_FACTOR = 6  # dedup box cells per pool point up to which the dense table beats the sort
 MAX_BATCH = 1 << (63 - JOB_SHIFT)  # centres per fixpoint: job bits 60-62 keep int64 keys positive
@@ -360,20 +360,27 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
     """Random-control oracle for reach_ball.
 
     Controls are piecewise constant on MC_CONTROL_PIECES intervals, sampled
-    uniformly from the product box.  Endpoints are binned into cells of edge
-    ``h``.
+    uniformly from the product box.  Paths are drawn from the one generator,
+    stepped and kept in blocks of ``ROUND_CHUNK``, so the controls never take
+    more than a block's memory; the draws and the paths' steps do not depend
+    on the block size.  Endpoints are binned into cells of edge ``h``.
     """
     if paths < 1000:
         raise ConfigError("mc_ball requires paths >= 1000")
     _check_radii(delta1, delta2, h)
     z0 = as_zarray(z0, model.dim_z)
+    if not model.contains(z0):
+        raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
     rng = np.random.default_rng(seed)
-    controls = rng.uniform(-1.0, 1.0, size=(paths, MC_CONTROL_PIECES, 2))
-    controls[:, :, 0] *= delta1
-    controls[:, :, 1] *= delta2
-    pts, stayed = integrate(model, np.tile(z0[:, None], (1, paths)), controls, 1.0 / MC_CONTROL_PIECES)
-    alive = stayed == MC_CONTROL_PIECES
-    endpoints = pts.T[alive]
+    ends, stayed = [], []
+    for b0 in range(0, paths, ROUND_CHUNK):
+        controls = rng.uniform(-1.0, 1.0, size=(min(ROUND_CHUNK, paths - b0), MC_CONTROL_PIECES, 2))
+        controls *= (delta1, delta2)
+        pts, pieces = integrate(model, np.tile(z0[:, None], (1, controls.shape[0])), controls, 1.0 / MC_CONTROL_PIECES)
+        ends.append(pts)
+        stayed.append(pieces)
+    alive = np.concatenate(stayed) == MC_CONTROL_PIECES
+    endpoints = np.concatenate(ends, axis=1).T[alive]  # the joined blocks are freed before binning
     cells = LatticeSet.from_points(endpoints, h)
     return McBall(
         endpoints=endpoints,

@@ -406,7 +406,12 @@ class TestMcBall:
         ("cubic", (0.9, 0.0, 0.0, 0.9), 894, 1106, "7078c70b3fc238bdd24661aa646b8bc4b571a76f0806bf10ea9a86aabe2a27ef"),
     )
 
-    def test_endpoints_pinned(self, models):
+    # the pins come from drawing and stepping all paths at once; 333-path
+    # blocks split each case into 7 blocks, the last one partial
+    @pytest.mark.parametrize("block", [None, 333], ids=["default", "block333"])
+    def test_endpoints_pinned(self, models, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(ccball, "ROUND_CHUNK", block)
         for name, z0, n_end, n_escaped, digest in self.PINNED_MC:
             mc = mc_ball(models[name], z0, 0.25, 0.5, paths=2000, seed=5, h=2.0 ** -5)
             endpoints = np.ascontiguousarray(mc.endpoints, dtype="<f8")
@@ -416,6 +421,11 @@ class TestMcBall:
     def test_requires_paths(self, parabola):
         with pytest.raises(ConfigError):
             mc_ball(parabola, (0.0, 0.0, 0.0), 0.1, 0.1, paths=10, seed=0, h=0.1 / 8)
+
+    def test_center_outside(self, parabola):
+        # every path from x1 = 1.05 counts as escaped; the centre is refused before any draw, as reach_balls does
+        with pytest.raises(ChartDomainError, match=r"ball center \[1\.05, 0\.0, 0\.0\] outside chart domain"):
+            mc_ball(parabola, (1.05, 0.0, 0.0), 1 / 8, 1 / 8, paths=1000, seed=1, h=1 / 32)
 
     def test_deterministic_given_seed(self, parabola):
         d = 2.0 ** -4
