@@ -25,6 +25,7 @@ from .errors import CCRadonError, OrderingError, ResolutionError
 from .exponents import DEFAULT_MARGIN, classify_triple, default_h_rule, estimate_region
 from .geometry import builtin_models, load_model
 from .lattice import LatticeSet
+from .mixednorm import exponent
 from .radon import necessity_union, rwt_ratio, superlevel_set
 
 EXIT_PASS = 0
@@ -37,14 +38,6 @@ def _require(mapping, key, path):
     if not isinstance(mapping, dict) or key not in mapping:
         raise click.UsageError(f"scenario missing required field '{path}'")
     return mapping[key]
-
-
-def _parse_exponent(value):
-    if value in ("inf", "Infinity", None):
-        return math.inf
-    if isinstance(value, str):
-        return Fraction(value)
-    return value
 
 
 def _sanitize(obj):
@@ -176,9 +169,9 @@ def run_ball(model, params: dict, out_dir: Path, seed, threads: int):
 
 
 def run_lemma_check(model, params: dict, out_dir: Path, seed, threads: int):
-    q = float(_parse_exponent(_require(params, "q", "parameters.q")))
-    r = float(_parse_exponent(_require(params, "r", "parameters.r")))
-    p = float(_parse_exponent(params["p"])) if "p" in params else None
+    q = float(exponent(_require(params, "q", "parameters.q")))
+    r = float(exponent(_require(params, "r", "parameters.r")))
+    p = float(exponent(params["p"])) if "p" in params else None
     grid = _require(params, "grid", "parameters.grid")
     thetas = grid.get("theta_list", [0.5, 0.75, 1.0])
     d1s = _require(grid, "delta1_list", "parameters.grid.delta1_list")
@@ -248,14 +241,13 @@ def run_region(model, params: dict, out_dir: Path, seed, threads: int):
 
 
 def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
-    triples = _require(params, "triples", "parameters.triples")
+    triples = [(tuple(exponent(v) for v in entry["triple"]), entry.get("expect"))
+               for entry in _require(params, "triples", "parameters.triples")]
     margin = params.get("margin", DEFAULT_MARGIN)
     region = _region_from_params(model, params, threads)
     results = []
     failures = []
-    for entry in triples:
-        trip = tuple(_parse_exponent(v) for v in entry["triple"])
-        expect = entry.get("expect")
+    for trip, expect in triples:
         try:
             label = classify_triple(trip, region, margin=margin)
             outcome = {"ok": expect in (None, label)}
@@ -270,7 +262,7 @@ def run_classify(model, params: dict, out_dir: Path, seed, threads: int):
 
 
 def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):
-    p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
+    p, q, r = (exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
     _reject_h_overrides(params)
     sweep = _ball_pairs_sweep(model, deltas, p, q, r, threads)
@@ -293,7 +285,7 @@ def run_test_inequality(model, params: dict, out_dir: Path, seed, threads: int):
 
 
 def run_necessity(model, params: dict, out_dir: Path, seed, threads: int):
-    p, q, r = (_parse_exponent(v) for v in _require(params, "triple", "parameters.triple"))
+    p, q, r = (exponent(v) for v in _require(params, "triple", "parameters.triple"))
     deltas = _require(params, "delta_list", "parameters.delta_list")
     _reject_h_overrides(params)
 

@@ -20,6 +20,7 @@ from .ccball import ComparabilityWindow, reach_balls
 from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
 from .errors import ConfigError, DegenerateError, OrderingError
 from .geometry import ModelFamily, as_zarray
+from .mixednorm import exponent
 
 INF = math.inf
 
@@ -34,14 +35,8 @@ SNAP_TOL_CAP = 0.2  # largest |fitted - lattice| rate that still snaps
 
 def _recip(value) -> Fraction:
     """Reciprocal of an exponent in [1, inf] as an exact Fraction (inf -> 0)."""
-    if value == INF:
-        return Fraction(0)
-    if isinstance(value, str):
-        value = Fraction(value)
-    frac = Fraction(value)
-    if frac < 1:
-        raise ConfigError(f"exponent must lie in [1, inf], got {value}")
-    return 1 / frac
+    value = exponent(value)
+    return Fraction(0) if value == INF else 1 / Fraction(value)
 
 
 def _as_exponent(recip: Fraction):
@@ -57,43 +52,6 @@ class BallExponents:
 
     def as_floats(self) -> tuple:
         return float(self.c1), float(self.c2)
-
-
-@dataclass(frozen=True)
-class ExponentTriple:
-    """A triple (p, q, r) of exponents in [1, inf], stored as reciprocals."""
-
-    rp: Fraction
-    rq: Fraction
-    rr: Fraction
-
-    @classmethod
-    def make(cls, p, q, r) -> "ExponentTriple":
-        return cls(_recip(p), _recip(q), _recip(r))
-
-    @property
-    def p(self):
-        return _as_exponent(self.rp)
-
-    @property
-    def q(self):
-        return _as_exponent(self.rq)
-
-    @property
-    def r(self):
-        return _as_exponent(self.rr)
-
-    @property
-    def ordered(self) -> bool:
-        """Candidacy ordering p <= q <= r (reciprocals reversed)."""
-        return self.rp >= self.rq >= self.rr
-
-    def require_ordered(self):
-        if not self.ordered:
-            raise OrderingError(
-                f"triple (p, q, r) = ({self.p}, {self.q}, {self.r}) violates p <= q <= r; "
-                "for q > r use the interpolation analysis (interpolation_window)"
-            )
 
 
 def c_from_pq(p, q) -> BallExponents:
@@ -422,13 +380,14 @@ def classify_triple(triple, region: RegionEstimate, margin: float = DEFAULT_MARG
     ball classify inside; boundary: the node is inside but the margin ball is
     not; outside / inconclusive follow the node's own label.
     """
-    if isinstance(triple, ExponentTriple):
-        et = triple
-    else:
-        et = ExponentTriple.make(*triple)
-    et.require_ordered()
-    ce = c_from_pqr(et.p, et.q, et.r)
-    c1, c2 = ce.as_floats()
+    rp, rq, rr = (_recip(e) for e in triple)
+    if not rp >= rq >= rr:
+        p, q, r = (_as_exponent(e) for e in (rp, rq, rr))
+        raise OrderingError(
+            f"triple (p, q, r) = ({p}, {q}, {r}) violates p <= q <= r; "
+            "for q > r use the interpolation analysis (interpolation_window)"
+        )
+    c1, c2 = c_from_pqr(*triple).as_floats()
     i0, j0 = region.node_index(c1, c2)
     node = region.classification[i0, j0]
     if node == "outside":

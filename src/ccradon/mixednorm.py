@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,33 +18,41 @@ from .lattice import LatticeSet
 INF = math.inf
 
 
-def conjugate(e: float) -> float:
+def exponent(value):
+    """The one parser and range check for an exponent in [1, inf].
+
+    "inf", "Infinity" and None read as infinity, other strings as Fractions
+    ("5/3", "1.5"), and numbers are returned as given.  ConfigError for a
+    string that does not parse and for a value below 1 or NaN.
+    """
+    if value in ("inf", "Infinity", None):
+        return INF
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except ValueError:
+            raise ConfigError(
+                f"exponent must be a number, a fraction such as '5/3' or 'inf', got {value!r}"
+            ) from None
+    if not value >= 1:
+        raise ConfigError(f"exponent must lie in [1, inf], got {value}")
+    return value
+
+
+def conjugate(e) -> float:
     """Conjugate exponent with the 1 <-> infinity convention."""
+    e = exponent(e)
     if e == 1:
         return INF
     if e == INF:
         return 1.0
-    if not (1.0 < e):
-        raise ConfigError(f"exponent must lie in [1, inf], got {e}")
     return e / (e - 1.0)
 
 
-def reciprocal(e: float) -> float:
+def reciprocal(e) -> float:
     """1/e with 1/infinity = 0."""
+    e = exponent(e)
     return 0.0 if e == INF else 1.0 / float(e)
-
-
-@dataclass(frozen=True)
-class MixedExponents:
-    """An (outer, inner) exponent pair q, r in [1, inf]."""
-
-    q: float
-    r: float
-
-    def __post_init__(self):
-        for e in (self.q, self.r):
-            if not (e >= 1.0):
-                raise ConfigError(f"exponents must lie in [1, inf], got {e}")
 
 
 @dataclass
@@ -62,8 +71,6 @@ class GridFunctionY:
 
 
 def _outer_norm(slice_norms: np.ndarray, h: float, q: float) -> float:
-    if slice_norms.size == 0:
-        return 0.0
     if q == INF:
         return float(slice_norms.max())
     return float((np.sum(slice_norms ** q) * h) ** (1.0 / q))
@@ -71,7 +78,7 @@ def _outer_norm(slice_norms: np.ndarray, h: float, q: float) -> float:
 
 def mixed_norm_grid(values: np.ndarray, h: float, q: float, r: float) -> float:
     """Mixed norm of a dense grid function (axis 0 is the Pi direction)."""
-    exps = MixedExponents(q, r)
+    q, r = exponent(q), exponent(r)
     vals = np.abs(np.asarray(values, dtype=float))
     flat = vals.reshape(vals.shape[0], -1)
     d = vals.ndim
@@ -79,12 +86,12 @@ def mixed_norm_grid(values: np.ndarray, h: float, q: float, r: float) -> float:
         slice_norms = flat.max(axis=1)
     else:
         slice_norms = (np.sum(flat ** r, axis=1) * h ** (d - 1)) ** (1.0 / r)
-    return _outer_norm(slice_norms, h, exps.q)
+    return _outer_norm(slice_norms, h, q)
 
 
 def mixed_norm_indicator(F: LatticeSet, q: float, r: float) -> float:
     """Mixed norm of the indicator of F, computed from per-slice cell counts."""
-    MixedExponents(q, r)
+    q, r = exponent(q), exponent(r)
     if F.is_empty:
         return 0.0
     _, counts = F.first_axis_histogram()

@@ -384,7 +384,10 @@ class TestClassifyCommand:
                 "parameters": {
                     "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
                     "delta_grid": [0.125, 0.0625, 0.03125],
-                    "triples": [{"triple": ["5/3", 3, 3], "expect": "interior"}],
+                    # (3/2, 2, 3) has q < r, so its c = (2.5, 2) takes the gamma3 term
+                    # of c_from_pqr; without it c = (2, 2) reads boundary
+                    "triples": [{"triple": ["5/3", 3, 3], "expect": "interior"},
+                                {"triple": ["3/2", 2, 3], "expect": "interior"}],
                 },
             },
         )
@@ -393,7 +396,8 @@ class TestClassifyCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "classify_report.json").read_text())
         assert report["passed"] is True
-        assert report["results"] == [{"triple": ["5/3", "3", "3"], "label": "interior", "ok": True}]
+        assert report["results"] == [{"triple": ["5/3", "3", "3"], "label": "interior", "ok": True},
+                                     {"triple": ["3/2", "2", "3"], "label": "interior", "ok": True}]
 
     def test_unexpected_ordering_error_fails(self, runner, tmp_path):
         # (4, 3, 2) violates the exponent ordering, so the triple's label is
@@ -424,6 +428,9 @@ class TestClassifyCommand:
         assert label != "outside"
         assert report["failures"] == ["triple 4, 3, 2: want interior, got ordering-error",
                                       f"triple 5/3, 3, 3: want outside, got {label}"]
+        assert report["results"][0]["detail"] == (
+            "triple (p, q, r) = (4, 3, 2) violates p <= q <= r; "
+            "for q > r use the interpolation analysis (interpolation_window)")
         assert "triple 4, 3, 2: want interior" in result.output
 
 
@@ -547,3 +554,32 @@ def test_parameters_must_be_an_object(runner, tmp_path):
     result = runner.invoke(main, ["decompose", "--scenario", scen, "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert "'parameters' must be an object" in result.output
+
+
+# (command, parameters with exponent p set to the bad value).  The runners
+# parse every exponent before any ball runs, so a bad one writes nothing.
+BAD_P = [
+    ("lemma-check", lambda p: {**LEMMA_SCENARIO["parameters"], "p": p}),
+    ("classify", lambda p: {"windows": [[1.0, 1.0]], "delta_grid": [0.0625, 0.03125],
+                            "triples": [{"triple": [p, 3, 3]}]}),
+    ("test-inequality", lambda p: {"triple": [p, 3, 3], "delta_list": [0.125, 0.0625]}),
+    ("necessity", lambda p: {"triple": [p, 1, "inf"], "delta_list": [[0.125, 0.125]]}),
+]
+
+
+@pytest.mark.parametrize("p, message", [
+    (0.5, "exponent must lie in [1, inf], got 0.5"),
+    (0, "exponent must lie in [1, inf], got 0"),
+    ("abc", "exponent must be a number, a fraction such as '5/3' or 'inf', got 'abc'"),
+], ids=["half", "zero", "abc"])
+@pytest.mark.parametrize("command, params", BAD_P, ids=[b[0] for b in BAD_P])
+def test_bad_exponent_rejected(runner, tmp_path, command, params, p, message):
+    # lemma-check ran every ball at p = 0.5 and failed a band, test-inequality
+    # and necessity wrote passing reports at p = 0.5, p = 0 raised
+    # ZeroDivisionError and "abc" raised ValueError
+    scen = write_scenario(tmp_path, {"kind": command, "model": "parabola", "parameters": params(p)})
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--scenario", scen, "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"error: {message}\n" in result.output
+    assert not out.exists()

@@ -11,7 +11,6 @@ from ccradon.errors import ConfigError, DegenerateError, OrderingError
 from ccradon.exponents import (
     INSIDE_RATE,
     OUTSIDE_RATE,
-    ExponentTriple,
     c_from_pq,
     c_from_pqr,
     classify_triple,
@@ -74,11 +73,6 @@ class TestConversions:
         if p <= q <= r:
             assert g3 >= 0
 
-    def test_exponent_triple_ordering(self):
-        ExponentTriple.make(F(3, 2), 3, 3).require_ordered()
-        with pytest.raises(OrderingError):
-            ExponentTriple.make(2, 3, F(3, 2)).require_ordered()
-
 
 class TestInterpolationWindow:
     def test_example(self):
@@ -98,6 +92,19 @@ class TestInterpolationWindow:
     def test_requires_q_gt_r_gt_p(self):
         with pytest.raises(OrderingError):
             interpolation_window(F(3, 2), 2, 4)
+
+    def test_rejects_s_off_the_window(self):
+        w = interpolation_window(F(3, 2), 4, 2)
+        with pytest.raises(ConfigError, match=r"must lie in \(0, 1\)"):
+            w.triple_at(1)
+        # s = 1/2 < s_lo = 7/12 maps (3/2, 4, 2) to reciprocals (1/3, 1/2, 0)
+        with pytest.raises(OrderingError, match="not ordered at this s"):
+            w.triple_at(F(1, 2))
+
+    def test_degenerate_window(self):
+        # p = 1 and q = inf give s_lo = 1/q + 1 - 1/p = 0
+        with pytest.raises(ConfigError, match="degenerate interpolation window"):
+            interpolation_window(1, math.inf, 2)
 
 
 class TestRegionStructure:
@@ -173,6 +180,7 @@ class TestRegionRule:
     def test_labels_follow_the_node_rule(self, parabola):
         reg = estimate_region(parabola, pool_map=_square_volume_map(100))
         assert reg.sequences and not reg.meta["resolution_limited"] and np.all(reg.infimum > 0)
+        assert reg.meta["z_spread_ok"] is True
         for seq in reg.sequences:
             rate = 2 * (seq.e1 + seq.e2)
             assert rate in (3.0, 3.5, 4.0)
@@ -180,6 +188,7 @@ class TestRegionRule:
         assert reg.label_at(2.2, 2.2) == "inside"
         assert reg.label_at(1.5, 1.5) == "outside"
         assert reg.label_at(2.0, 2.0) == "edge"
+        assert classify_triple((1, math.inf, math.inf), reg) == "outside"  # c = (1, 1)
 
         n1, n2 = reg.classification.shape
         inside = np.zeros((n1, n2), dtype=bool)
@@ -206,6 +215,27 @@ class TestRegionRule:
         assert not np.any(reg.classification == "inside")
         assert not reg.edge.any()
         assert reg.label_at(1.5, 1.5) == "outside"
+        assert classify_triple((F(3, 2), 3, 3), reg) == "inconclusive"
+
+    def test_z_spread_is_reported(self, parabola):
+        # volumes 1, 3 and 5 times (d1 d2)^2 at the three default centres
+        def spread_map(fn, jobs):
+            return [([((2 * k + 1) * (d1 * d2) ** 2, 100) for k in range(len(centres))], 0, 0.0)
+                    for centres, d1, d2, _h in jobs]
+
+        reg = estimate_region(parabola, pool_map=spread_map)
+        assert reg.meta["z_spread_ok"] is False
+
+    def test_classify_triple_checks_the_ordering(self, parabola):
+        reg = estimate_region(parabola, pool_map=_square_volume_map(100))
+        # c = (2, 2) is an edge node: inside, with non-inside nodes in its margin ball
+        assert classify_triple((F(3, 2), 3, 3), reg) == "boundary"
+        with pytest.raises(OrderingError) as exc:
+            classify_triple((2, 3, F(3, 2)), reg)
+        assert str(exc.value) == ("triple (p, q, r) = (2, 3, 3/2) violates p <= q <= r; "
+                                  "for q > r use the interpolation analysis (interpolation_window)")
+        with pytest.raises(ConfigError, match=r"exponent must lie in \[1, inf\], got 0.5"):
+            classify_triple((0.5, 3, 3), reg)
 
     def test_empty_node_grid_is_rejected(self, parabola):
         with pytest.raises(ConfigError, match="at least one node"):

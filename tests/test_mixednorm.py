@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,11 @@ from ccradon.lattice import LatticeSet
 from ccradon.mixednorm import (
     GridFunctionY,
     conjugate,
+    exponent,
     holder_lower_bound,
+    mixed_norm_grid,
     mixed_norm_indicator,
+    reciprocal,
 )
 from ccradon.radon import grid_from_lattice
 
@@ -19,6 +24,43 @@ H = 2.0 ** -7
 
 def box(a0, a1, b0, b1, h=H):
     return LatticeSet.from_box([a0, b0], [a1, b1], h)
+
+
+@pytest.mark.parametrize("spelling, value", [
+    ("inf", math.inf), ("Infinity", math.inf), (None, math.inf), (math.inf, math.inf),
+    ("5/3", Fraction(5, 3)), ("1.5", Fraction(3, 2)), ("1", Fraction(1)),
+    (1, 1), (2.5, 2.5), (Fraction(7, 4), Fraction(7, 4)),
+])
+def test_exponent_spellings(spelling, value):
+    got = exponent(spelling)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.5, r"must lie in \[1, inf\], got 0.5"), (-2, r"must lie in \[1, inf\], got -2"),
+    (math.nan, r"must lie in \[1, inf\], got nan"), ("1/2", r"must lie in \[1, inf\], got 1/2"),
+    (-math.inf, r"must lie in \[1, inf\], got -inf"),
+    ("abc", r"exponent must be a number, a fraction such as '5/3' or 'inf', got 'abc'"),
+])
+def test_exponent_rejects(bad, message):
+    with pytest.raises(ConfigError, match=message):
+        exponent(bad)
+
+
+def test_reciprocal():
+    assert reciprocal(math.inf) == 0.0 and reciprocal("inf") == 0.0
+    assert reciprocal(4) == 0.25 and reciprocal(Fraction(5, 3)) == 1.0 / float(Fraction(5, 3))
+    with pytest.raises(ConfigError, match="got 0.5"):
+        reciprocal(0.5)
+
+
+def test_norms_check_their_exponents():
+    F = box(0.0, 0.25, 0.0, 0.5)
+    for q, r in ((0.5, 2.0), (2.0, 0.5)):
+        with pytest.raises(ConfigError, match="got 0.5"):
+            mixed_norm_indicator(F, q, r)
+        with pytest.raises(ConfigError, match="got 0.5"):
+            mixed_norm_grid(np.ones((4, 4)), H, q, r)
 
 
 def test_conjugate():
@@ -61,7 +103,12 @@ def test_two_disjoint_slabs():
 def test_grid_function_matches_indicator():
     F = box(0.0, 0.25, 0.0, 0.5)
     g = grid_from_lattice(F)
-    assert g.norm(2.5, 1.5) == pytest.approx(mixed_norm_indicator(F, 2.5, 1.5), rel=1e-12)
+    for q, r in ((2.5, 1.5), (2.5, math.inf), (math.inf, math.inf)):
+        assert g.norm(q, r) == pytest.approx(mixed_norm_indicator(F, q, r), rel=1e-12)
+
+
+def test_empty_set_norm_is_zero():
+    assert mixed_norm_indicator(LatticeSet.empty(H, 2), 2.0, 3.0) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,6 +171,12 @@ class TestHolder:
             r = float(rng.uniform(q, 5.0))
             hb = holder_lower_bound(F, q=q, r=r)
             assert hb.lhs >= hb.rhs * (1.0 - max(hb.eps_lattice, 1e-12))
+
+    def test_one_dimensional_set(self):
+        # no slice directions: the feature size is the Pi measure alone
+        F = LatticeSet.from_box([0.0], [0.25], H)
+        hb = holder_lower_bound(F, q=2.0, r=3.0)
+        assert hb.holds and hb.eps_lattice == 3.0 * H / F.measure
 
     def test_requires_r_ge_q(self):
         with pytest.raises(ConfigError):
