@@ -7,6 +7,7 @@ carries weight h per slice.  Infinity exponents are essential suprema.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,21 +23,23 @@ def exponent(value):
     """The one parser and range check for an exponent in [1, inf].
 
     "inf", "Infinity" and None read as infinity, other strings as Fractions
-    ("5/3", "1.5"), and numbers are returned as given.  ConfigError for a
-    string that does not parse and for a value below 1 or NaN.
+    ("5/3", "1.5"), and real numbers are returned as given.  ConfigError for
+    a string that does not parse, a value that is no real number (a bool, a
+    list), and a value below 1 or NaN.
     """
     if value in ("inf", "Infinity", None):
         return INF
+    parsed = value
     if isinstance(value, str):
         try:
-            value = Fraction(value)
+            parsed = Fraction(value)
         except ValueError:
-            raise ConfigError(
-                f"exponent must be a number, a fraction such as '5/3' or 'inf', got {value!r}"
-            ) from None
-    if not value >= 1:
-        raise ConfigError(f"exponent must lie in [1, inf], got {value}")
-    return value
+            parsed = None
+    if isinstance(parsed, bool) or not isinstance(parsed, numbers.Real):
+        raise ConfigError(f"exponent must be a number, a fraction such as '5/3' or 'inf', got {value!r}")
+    if not parsed >= 1:
+        raise ConfigError(f"exponent must lie in [1, inf], got {parsed}")
+    return parsed
 
 
 def conjugate(e) -> float:

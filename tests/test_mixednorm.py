@@ -41,6 +41,7 @@ def test_exponent_spellings(spelling, value):
     (math.nan, r"must lie in \[1, inf\], got nan"), ("1/2", r"must lie in \[1, inf\], got 1/2"),
     (-math.inf, r"must lie in \[1, inf\], got -inf"),
     ("abc", r"exponent must be a number, a fraction such as '5/3' or 'inf', got 'abc'"),
+    (True, r"must be a number, .* got True"), ([2], r"must be a number, .* got \[2\]"),
 ])
 def test_exponent_rejects(bad, message):
     with pytest.raises(ConfigError, match=message):
