@@ -1,14 +1,13 @@
-"""Combinatorial decomposition machinery: central sets, minimal dyadic
-intervals, strata, interval partitions, incidence statistics, and the dense
-ball search.
+"""Combinatorial decomposition machinery: minimal dyadic intervals, strata
+and interval partitions.
 
 One-dimensional sets here live on the Pi coordinate u = x1 + t; the fibers of
 a superlevel set convert to that coordinate by an exact integer shift, which
 is what makes interval bookkeeping against Pi-slabs of Y exact.
 All dyadic logic requires h to be a dyadic fraction of 1.
-One empty-input rule: is_central, minimal_dyadic, stratify, omega_stats and
-dense_ball_search raise DegenerateError on an empty set, so a StratifyResult,
-which partition and widthbound_check read, always has a selected stratum.
+One empty-input rule: minimal_dyadic and stratify raise DegenerateError on an
+empty set, so a StratifyResult, which partition and widthbound_check read,
+always has a selected stratum.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccball import pi2_cells, reach_balls
+from .ccball import pi2_cells
 from .ccball import reach_ball  # noqa: F401  perfbench's tracer wraps this module's reach_ball by name
 from .errors import ConfigError, DegenerateError
 from .geometry import ModelFamily
@@ -25,9 +24,6 @@ from .lattice import LatticeSet, encode_cells
 
 # the constant C of the width bound |J cap F(x)| <= C |J|^eta (2^m beta)^-eta 2^k
 C_WB = 8.0
-# the constants c and varrho of the dense-ball bound c alpha^varrho (a1/d1)^e1 (a2/d2)^e2
-DENSE_C = 1.0 / 16.0
-DENSE_VARRHO = 0.1
 
 
 def _dyadic_level(h: float) -> int:
@@ -35,71 +31,6 @@ def _dyadic_level(h: float) -> int:
     if abs(h - 2.0 ** -k) > 1e-12 * h:
         raise ConfigError("decomposition lattices require dyadic h = 2^-k")
     return k
-
-
-def _as_bool_line(cells: np.ndarray, level: int) -> np.ndarray:
-    """Boolean occupancy over cell indices [-2^level, 2^level)."""
-    n = 1 << level
-    cells = np.asarray(cells, dtype=np.int64).ravel()
-    if cells.size and (cells.min() < -n or cells.max() >= n):
-        raise ConfigError("1-D set exceeds [-1, 1]")
-    line = np.zeros(2 * n, dtype=np.int64)
-    line[cells + n] = 1
-    return line
-
-
-# --------------------------------------------------------------------------
-# Central sets
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CentralSetSpec:
-    width: float
-    eps: float
-    c_eps: float
-
-    def __post_init__(self):
-        if not (self.width > 0 and 0 < self.eps <= 1 and self.c_eps >= 1):
-            raise ConfigError("central set spec requires w > 0, eps in (0,1], C_eps >= 1")
-
-
-@dataclass(frozen=True)
-class IntervalWitness:
-    lo: float
-    hi: float
-    mass: float
-    bound: float
-
-    @property
-    def violates(self) -> bool:
-        return self.mass > self.bound + 1e-12
-
-
-def is_central(cells: np.ndarray, h: float, spec: CentralSetSpec):
-    """Concentration test: (i) support within [-C_eps w, C_eps w]; (ii) mass of
-    every window (dyadic lengths, all lattice translates) bounded by
-    C_eps (|I|/w)^eps |S|.  Returns (bool, worst IntervalWitness)."""
-    level = _dyadic_level(h)
-    line = _as_bool_line(cells, level)
-    total = line.sum() * h
-    if total == 0:
-        raise DegenerateError("is_central requires a set of positive measure")
-    idx = np.flatnonzero(line) - (1 << level)
-    support_ok = max(abs(idx.min()), abs(idx.max())) * h <= spec.c_eps * spec.width + 1e-12
-    prefix = np.concatenate([[0], np.cumsum(line)])
-    worst = None
-    for lev in range(level + 1):
-        length = 2.0 ** -lev
-        b = 1 << (level - lev)
-        sums = prefix[b:] - prefix[:-b]
-        j = int(np.argmax(sums))
-        mass = sums[j] * h
-        bound = spec.c_eps * (length / spec.width) ** spec.eps * total
-        wit = IntervalWitness(lo=(j - (1 << level)) * h, hi=(j - (1 << level)) * h + length, mass=mass, bound=bound)
-        if worst is None or (wit.mass / wit.bound) > (worst.mass / worst.bound):
-            worst = wit
-    ok = support_ok and not worst.violates
-    return ok, worst
 
 
 # --------------------------------------------------------------------------
@@ -129,10 +60,6 @@ class DyadicInterval:
     def length(self) -> float:
         return 2.0 ** -self.level
 
-    def cell_range(self, h: float):
-        level = _dyadic_level(h)
-        b = 1 << (level - self.level)
-        return self.index * b, (self.index + 1) * b
 
 
 def _dyadic_runs(rows: np.ndarray, u: np.ndarray, level: int):
@@ -187,22 +114,6 @@ def minimal_dyadic(cells: np.ndarray, h: float, eta: float, c_eta: float) -> Dya
     return DyadicInterval(level=int(levels[0]), index=int(index[0]))
 
 
-def localization_check(cells: np.ndarray, h: float, interval: DyadicInterval, eta: float) -> bool:
-    """|J cap S| <= (|J|/|I|)^eta |I cap S| + h (one cell of slack) for every
-    dyadic J inside I."""
-    lo, hi = interval.cell_range(h)
-    u = np.unique(np.asarray(cells, dtype=np.int64).ravel())
-    u = u[(u >= lo) & (u < hi)]
-    mass_i = u.size * h
-    for lev, _, _, cnt in _dyadic_runs(np.zeros(u.size, dtype=np.int64), u, _dyadic_level(h)):
-        if lev < interval.level:
-            break
-        bound = (2.0 ** -lev / interval.length) ** eta * mass_i + h
-        if (cnt * h > bound + 1e-12).any():
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # Fibers in the Pi coordinate, strata, partition
 # --------------------------------------------------------------------------
@@ -224,8 +135,6 @@ class PiFibers:
     def n(self) -> int:
         return self.x_cells.shape[0]
 
-    def total_pairing(self) -> float:
-        return float(self.measures.sum()) * self.h ** self.d
 
 
 def to_pi_fibers(superlevel) -> PiFibers:
@@ -418,145 +327,3 @@ def widthbound_check(fibs: PiFibers, strat: StratifyResult) -> tuple:
         worst = max(worst, float(cnt.max()) * fibs.h / bound)
     return worst <= 1.0 + 1e-9, worst
 
-
-def delta1_lower_bound_check(
-    fibs: PiFibers,
-    strat: StratifyResult,
-    part: PartitionFamily,
-    n: int,
-    subset_indices,
-) -> dict:
-    """Fiber-width mechanism: a subset of Omega^n carrying a lambda-fraction of
-    its measure, with x-fibers inside intervals of width w, forces
-    w >= (lambda / C)^(1/eta) * 2^m beta."""
-    if n not in part.omega_measure:
-        raise ConfigError(f"n = {n} is not an interval of the partition (n values {list(part.e_counts)})")
-    h = fibs.h
-    L = part.interval_length
-    in_subset = np.zeros(fibs.n, dtype=bool)
-    in_subset[np.asarray(subset_indices, dtype=np.int64)] = True
-    inside = in_subset[fibs.rows] & _in_window(fibs.u_cells * h, n, L)
-    omega_n = part.omega_measure[n]
-    if not inside.any() or omega_n == 0:
-        raise DegenerateError(f"the subset carries no cells of Omega^n for n = {n}")
-    rows, u = fibs.rows[inside], fibs.u_cells[inside]
-    first = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
-    sub_measure = rows.size * h ** (fibs.d + 1)
-    w_measured = int((np.maximum.reduceat(u, first) - u[first]).max() + 1) * h
-    lam = sub_measure / omega_n
-    w_bound = (lam / C_WB) ** (1.0 / strat.eta) * 2.0 ** strat.selected.m * fibs.beta
-    return {
-        "lambda": lam,
-        "w_measured": w_measured,
-        "w_bound": w_bound,
-        "ok": w_measured >= w_bound - 1e-12,
-    }
-
-
-# --------------------------------------------------------------------------
-# Incidence statistics and dense ball search
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OmegaStats:
-    volume: float
-    proj1_measure: float
-    proj2_measure: float
-    alpha1: float
-    alpha2: float
-
-    @property
-    def alpha(self) -> float:
-        return min(self.alpha1, self.alpha2)
-
-
-def omega_stats(model: ModelFamily, omega: LatticeSet) -> OmegaStats:
-    """alpha_j = |Omega| / |pi_j(Omega)| with projections by cell images."""
-    if omega.is_empty:
-        raise DegenerateError("omega_stats requires a nonempty set")
-    d = model.d
-    if omega.dim != d + 1:
-        raise ConfigError("omega must live on the Z-lattice (d+1 axes)")
-    p1 = omega.project(range(d)).measure
-    p2 = LatticeSet(omega.h, pi2_cells(model, omega.cells, omega.h)).measure
-    if p1 <= 0 or p2 <= 0:
-        raise DegenerateError("degenerate projection")
-    return OmegaStats(
-        volume=omega.measure,
-        proj1_measure=p1,
-        proj2_measure=p2,
-        alpha1=omega.measure / p1,
-        alpha2=omega.measure / p2,
-    )
-
-
-@dataclass
-class SearchResult:
-    center: tuple
-    delta1: float
-    delta2: float
-    density: float
-    stats: OmegaStats
-    bound_rhs: float
-    bound_rhs_swapped: float
-    meets_bound: bool
-    meets_swapped: bool
-    evaluations: list
-
-
-def dense_ball_search(
-    model: ModelFamily,
-    omega: LatticeSet,
-    delta_pairs,
-    max_centers: int = 16,
-) -> SearchResult:
-    """Search sampled centers and grid radii for the densest ball in Omega and
-    compare the best density against c alpha^varrho (a1/d1)^floor((d+2)/2)
-    (a2/d2)^floor((d+1)/2), with c = DENSE_C and varrho = DENSE_VARRHO, and the
-    X/Y-swapped variant."""
-    if omega.is_empty:
-        raise DegenerateError("dense_ball_search requires a nonempty set")
-    h = omega.h
-    d = model.d
-    stats = omega_stats(model, omega)
-    centroid = omega.cells.mean(axis=0)
-    order = np.argsort(np.sum((omega.cells - centroid) ** 2, axis=1), kind="stable")
-    picks = [int(order[0])]
-    stride = max(1, omega.n_cells // max(1, max_centers - 1))
-    picks.extend(range(0, omega.n_cells, stride))
-    centers = [cell * h for cell in omega.cells[sorted(set(picks))] if model.contains(cell * h)]
-    pairs = [(d1, d2) for d1, d2 in delta_pairs if h <= min(d1, d2) / 4.0]
-    # one batched fixpoint per radius pair; evaluations stay centre-major
-    densities = [
-        [ball.cells.intersection(omega).n_cells / ball.cells.n_cells for ball in reach_balls(model, centers, *pair, h)]
-        for pair in pairs
-    ]
-    best = None
-    evaluations = []
-    for i, z in enumerate(centers):
-        for (d1, d2), dens in zip(pairs, densities):
-            density = dens[i]
-            evaluations.append(
-                {"center": z.tolist(), "delta1": d1, "delta2": d2, "density": density}
-            )
-            if best is None or density > best[0] + 1e-15:
-                best = (density, tuple(z.tolist()), d1, d2)
-    if best is None:
-        raise ConfigError("no admissible (center, radii) pair at this grid; refine h")
-    density, z, d1, d2 = best
-    e1 = math.floor((d + 2) / 2)
-    e2 = math.floor((d + 1) / 2)
-    rhs = DENSE_C * stats.alpha ** DENSE_VARRHO * (stats.alpha1 / d1) ** e1 * (stats.alpha2 / d2) ** e2
-    rhs_sw = DENSE_C * stats.alpha ** DENSE_VARRHO * (stats.alpha1 / d1) ** e2 * (stats.alpha2 / d2) ** e1
-    return SearchResult(
-        center=z,
-        delta1=d1,
-        delta2=d2,
-        density=density,
-        stats=stats,
-        bound_rhs=rhs,
-        bound_rhs_swapped=rhs_sw,
-        meets_bound=density >= rhs,
-        meets_swapped=density >= rhs_sw,
-        evaluations=evaluations,
-    )

@@ -378,15 +378,18 @@ def classify_triple(triple, region: RegionEstimate, margin: float = DEFAULT_MARG
 
     interior: the mapped (c1, c2) node and every lattice node within the margin
     ball classify inside; boundary: the node is inside but the margin ball is
-    not; outside / inconclusive follow the node's own label.
+    not; outside / inconclusive follow the node's own label.  OrderingError
+    unless p <= q <= r and r > p, before the region is read.
     """
     rp, rq, rr = (_recip(e) for e in triple)
+    p, q, r = (_as_exponent(e) for e in (rp, rq, rr))
     if not rp >= rq >= rr:
-        p, q, r = (_as_exponent(e) for e in (rp, rq, rr))
         raise OrderingError(
             f"triple (p, q, r) = ({p}, {q}, {r}) violates p <= q <= r; "
             "for q > r use the interpolation analysis (interpolation_window)"
         )
+    if rp == rr:
+        raise OrderingError(f"triple (p, q, r) = ({p}, {q}, {r}) requires r > p")
     c1, c2 = c_from_pqr(*triple).as_floats()
     i0, j0 = region.node_index(c1, c2)
     node = region.classification[i0, j0]

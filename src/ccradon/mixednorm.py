@@ -80,9 +80,11 @@ def _outer_norm(slice_norms: np.ndarray, h: float, q: float) -> float:
 
 
 def mixed_norm_grid(values: np.ndarray, h: float, q: float, r: float) -> float:
-    """Mixed norm of a dense grid function (axis 0 is the Pi direction)."""
+    """Mixed norm of a dense grid function (axis 0 is the Pi direction); 0 with no cells."""
     q, r = exponent(q), exponent(r)
     vals = np.abs(np.asarray(values, dtype=float))
+    if not vals.size:
+        return 0.0
     flat = vals.reshape(vals.shape[0], -1)
     d = vals.ndim
     if r == INF:

@@ -83,3 +83,23 @@ def exhaustive_minimal_dyadic(cells, h, eta, c_eta):
                 elif cand[0] == best[0] and cand[1] < best[1]:
                     best = cand
     return best
+
+
+def localization_holds(cells, h, level, index, eta):
+    """Independent oracle for the localization of I = [index 2^-level,
+    (index+1) 2^-level): every dyadic J inside I, counted one at a time, holds
+    |J cap S| <= (|J|/|I|)^eta |I cap S| + h (one cell of slack)."""
+    finest = round(math.log2(1.0 / h))
+    cells = set(int(c) for c in np.asarray(cells).ravel())
+
+    def mass(lev, j):
+        b = 1 << (finest - lev)
+        return sum(1 for c in cells if j * b <= c < (j + 1) * b) * h
+
+    mass_i = mass(level, index)
+    for lev in range(level, finest + 1):
+        bound = (2.0 ** (level - lev)) ** eta * mass_i + h
+        for j in range(index << (lev - level), (index + 1) << (lev - level)):
+            if mass(lev, j) > bound + 1e-12:
+                return False
+    return True

@@ -24,7 +24,6 @@ from ccradon import calibration
 from ccradon.ccball import lemma_balls_report, mc_ball, reach_ball, slab_profile
 from ccradon.cli import main as cli_main
 from ccradon.decomp import (
-    localization_check,
     minimal_dyadic,
     partition,
     stratify,
@@ -373,7 +372,7 @@ def test_criterion_11_decomposition():
             c_eta = float(rng.uniform(0.05, 0.3))
             got = minimal_dyadic(sample, h8, eta=eta, c_eta=c_eta)
             assert (got.level, got.index) == conftest.exhaustive_minimal_dyadic(sample, h8, eta, c_eta)
-            assert localization_check(sample, h8, got, eta=eta)
+            assert conftest.localization_holds(sample, h8, got.level, got.index, eta)
         # partition bounds on a slab instance
         h7 = 2.0 ** -7
         Fset = LatticeSet.from_box([0.2, -0.9], [0.26, 0.9], h7)

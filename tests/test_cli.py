@@ -399,6 +399,33 @@ class TestClassifyCommand:
         assert report["results"] == [{"triple": ["5/3", "3", "3"], "label": "interior", "ok": True},
                                      {"triple": ["3/2", "2", "3"], "label": "interior", "ok": True}]
 
+    def test_degenerate_triple_keeps_the_other_labels(self, runner, tmp_path):
+        # p = q = r has no gammas; it reads ordering-error before the region is
+        # read, and the interior triple next to it keeps its label
+        scen = write_scenario(
+            tmp_path,
+            {
+                "kind": "classify",
+                "model": "parabola",
+                "parameters": {
+                    "windows": [[0.5, 1.0], [0.75, 1.0], [1.0, 1.0]],
+                    "delta_grid": [0.125, 0.0625, 0.03125],
+                    "triples": [{"triple": [1, 1, 1], "expect": "ordering-error"},
+                                {"triple": ["5/3", 3, 3], "expect": "interior"}],
+                },
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["classify", "--scenario", scen, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "classify_report.json").read_text())
+        assert report["passed"] is True
+        assert report["results"] == [
+            {"triple": ["1", "1", "1"], "label": "ordering-error",
+             "detail": "triple (p, q, r) = (1, 1, 1) requires r > p"},
+            {"triple": ["5/3", "3", "3"], "label": "interior", "ok": True},
+        ]
+
     def test_unexpected_ordering_error_fails(self, runner, tmp_path):
         # (4, 3, 2) violates the exponent ordering, so the triple's label is
         # ordering-error; an entry that expects another label must fail by name,

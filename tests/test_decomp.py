@@ -2,24 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import exhaustive_minimal_dyadic
+from conftest import exhaustive_minimal_dyadic, localization_holds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccradon.ccball import pi2_cells, reach_ball
+from ccradon.ccball import pi2_cells
 from ccradon.decomp import (
     C_WB,
-    CentralSetSpec,
     DyadicInterval,
     PiFibers,
     Stratum,
     StratifyResult,
-    dense_ball_search,
-    delta1_lower_bound_check,
-    is_central,
-    localization_check,
     minimal_dyadic,
-    omega_stats,
     partition,
     stratify,
     to_pi_fibers,
@@ -61,12 +55,12 @@ class TestMinimalDyadic:
         for _ in range(20):
             cells = np.unique(rng.integers(-64, 256, size=40))
             I = minimal_dyadic(cells, h, eta=0.25, c_eta=0.25)
-            assert localization_check(cells, h, I, eta=0.25)
+            assert localization_holds(cells, h, I.level, I.index, eta=0.25)
 
     def test_localization_fails_on_concentrated_set(self):
         # 16 cells fill the quarter [0, 1/4) of I = [0, 1): 1/4 > (1/4)^0.5 |S| + h
         h = 2.0 ** -6
-        assert not localization_check(np.arange(16), h, DyadicInterval(level=0, index=0), eta=0.5)
+        assert not localization_holds(np.arange(16), h, level=0, index=0, eta=0.5)
 
     def test_no_qualifier_error(self):
         h = 2.0 ** -8
@@ -76,36 +70,6 @@ class TestMinimalDyadic:
     def test_empty_error(self):
         with pytest.raises(DegenerateError):
             minimal_dyadic(np.array([], dtype=np.int64), 2.0 ** -8, 0.5, 0.25)
-
-
-class TestCentral:
-    def test_symmetric_interval(self):
-        h = 2.0 ** -10
-        w = 0.0625
-        cells = np.arange(-int(w / h), int(w / h))
-        ok, _ = is_central(cells, h, CentralSetSpec(width=w, eps=0.5, c_eps=2.0))
-        assert ok
-
-    def test_distant_set_fails_support(self):
-        h = 2.0 ** -10
-        w = 0.0625
-        cells = np.arange(int(8 * w / h), int(10 * w / h))
-        ok, _ = is_central(cells, h, CentralSetSpec(width=w, eps=0.5, c_eps=2.0))
-        assert not ok
-
-    def test_single_cell(self):
-        h = 2.0 ** -10
-        ok, wit = is_central(np.array([0]), h, CentralSetSpec(width=h, eps=0.5, c_eps=1.0))
-        assert ok
-        assert not wit.violates
-
-    def test_witness_identifies_violation(self):
-        h = 2.0 ** -10
-        # mass concentrated in a tiny subinterval of a wide claimed width
-        cells = np.arange(0, 4)
-        ok, wit = is_central(cells, h, CentralSetSpec(width=0.5, eps=1.0, c_eps=1.0))
-        assert not ok
-        assert wit.violates and wit.mass > wit.bound
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +88,7 @@ def slab_setup():
 class TestStratifyPartition:
     def test_single_slab_concentrates(self, slab_setup):
         model, F, fibs, strat = slab_setup
-        total = fibs.total_pairing()
+        total = float(fibs.measures.sum()) * fibs.h ** fibs.d
         assert strat.selected.pairing >= 0.9 * total
 
     def test_stratify_verdicts(self, slab_setup):
@@ -152,29 +116,6 @@ class TestStratifyPartition:
         _, _, fibs, strat = slab_setup
         ok, worst = widthbound_check(fibs, strat)
         assert ok, worst
-
-    def test_delta1_bound(self, slab_setup):
-        model, F, fibs, strat = slab_setup
-        part = partition(model, fibs, strat, F, C=8.0)
-        n = max(part.e_counts, key=lambda n: part.omega_measure[n])
-        sel = strat.selected.indices
-        res = delta1_lower_bound_check(fibs, strat, part, n, sel[: max(1, len(sel) // 2)])
-        assert res["ok"]
-
-    def test_delta1_unknown_n_names_it(self, slab_setup):
-        model, F, fibs, strat = slab_setup
-        part = partition(model, fibs, strat, F, C=8.0)
-        bad = max(part.e_counts) + 5
-        with pytest.raises(ConfigError, match=f"n = {bad} "):
-            delta1_lower_bound_check(fibs, strat, part, bad, strat.selected.indices)
-
-    def test_delta1_subset_without_cells_is_degenerate(self, slab_setup):
-        # an empty subset carries lambda = 0, which would pass vacuously
-        model, F, fibs, strat = slab_setup
-        part = partition(model, fibs, strat, F, C=8.0)
-        n = max(part.e_counts, key=lambda n: part.omega_measure[n])
-        with pytest.raises(DegenerateError):
-            delta1_lower_bound_check(fibs, strat, part, n, [])
 
     def test_partition_requires_c(self, slab_setup):
         model, F, fibs, strat = slab_setup
@@ -266,9 +207,8 @@ def test_stratify_matches_oracle_per_row(rows, eta, c_eta):
 
 
 @settings(max_examples=50, deadline=None)
-@given(rows=st.lists(fiber_row(), min_size=1, max_size=6), eta=st.floats(0.1, 0.6),
-       i_level=st.integers(0, LEVEL))
-def test_widthbound_and_localization_match_block_loop(rows, eta, i_level):
+@given(rows=st.lists(fiber_row(), min_size=1, max_size=6), eta=st.floats(0.1, 0.6))
+def test_widthbound_matches_block_loop(rows, eta):
     # every dyadic block counted one at a time, against the one level walk
     h = 2.0 ** -LEVEL
     fibs = flat_fibers(rows, h)
@@ -287,16 +227,6 @@ def test_widthbound_and_localization_match_block_loop(rows, eta, i_level):
     ok, got = widthbound_check(fibs, strat)
     assert got == pytest.approx(worst, rel=1e-12)
     assert ok == (worst <= 1.0 + 1e-9)
-
-    # I: the dyadic interval of level i_level around the first cell of row 0
-    I = DyadicInterval(level=i_level, index=min(rows[0]) >> (LEVEL - i_level))
-    mass_i = mass(rows[0], I.level, I.index)
-    want = all(
-        mass(rows[0], lev, j) <= (2.0 ** -lev / I.length) ** eta * mass_i + h + 1e-12
-        for lev in range(I.level, LEVEL + 1)
-        for j in range(I.index << (lev - I.level), (I.index + 1) << (lev - I.level))
-    )
-    assert localization_check(np.array(sorted(rows[0])), h, I, eta) == want
 
 
 @pytest.mark.parametrize("rows, eta, c_eta, match", [
@@ -432,64 +362,3 @@ def test_partition_matches_reference_on_random_sets(models, name):
             checked += 1
     assert checked >= 6
 
-
-class TestOmegaStats:
-    def test_full_box(self, parabola):
-        h = 2.0 ** -5
-        omega = LatticeSet.from_box([-0.5, -0.5, -0.25], [0.5, 0.5, 0.25], h)
-        stats = omega_stats(parabola, omega)
-        # alpha1 = t-fiber length over the x-shadow
-        assert stats.alpha1 == pytest.approx(0.5, rel=0.1)
-        assert stats.alpha == min(stats.alpha1, stats.alpha2)
-
-    def test_single_cell(self, parabola):
-        h = 2.0 ** -5
-        omega = LatticeSet(h, np.array([[0, 0, 0]]))
-        stats = omega_stats(parabola, omega)
-        assert stats.alpha1 == pytest.approx(h)
-        assert stats.alpha2 == pytest.approx(h)
-
-    def test_ball_alphas_track_radii(self, parabola):
-        d = 2.0 ** -4
-        ball = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, d / 8)
-        stats = omega_stats(parabola, ball.cells)
-        assert d / 4 <= stats.alpha1 <= 4 * d
-        assert d / 4 <= stats.alpha2 <= 4 * d
-
-    def test_empty_error(self, parabola):
-        with pytest.raises(DegenerateError):
-            omega_stats(parabola, LatticeSet.empty(0.25, 3))
-
-
-class TestDenseBallSearch:
-    def test_self_ball(self, parabola):
-        d = 2.0 ** -4
-        h = d / 8
-        ball = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, h)
-        res = dense_ball_search(parabola, ball.cells, [(d, d)])
-        assert res.density == pytest.approx(1.0)
-        assert res.meets_bound and res.meets_swapped
-
-    def test_bad_radii_raise_instead_of_skipping(self, parabola):
-        # the caller's error surfaces; it is not reported as "no admissible pair"
-        d = 2.0 ** -4
-        ball = reach_ball(parabola, (0.0, 0.0, 0.0), d, d, d / 8)
-        with pytest.raises(ConfigError, match="radii must lie"):
-            dense_ball_search(parabola, ball.cells, [(0.9, 0.9)])
-
-    def test_two_distant_balls(self, parabola):
-        d = 2.0 ** -4
-        h = d / 8
-        b1 = reach_ball(parabola, (-0.5, 0.0, 0.0), d, d, h)
-        b2 = reach_ball(parabola, (0.5, 0.0, 0.0), d, d, h)
-        omega = b1.cells.union(b2.cells)
-        res = dense_ball_search(parabola, omega, [(d, d)], max_centers=24)
-        assert res.density >= 0.5
-
-    def test_random_sprinkling(self, parabola, rng):
-        h = 2.0 ** -5
-        box = LatticeSet.from_box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], h)
-        keep = rng.random(box.n_cells) < 0.1
-        omega = LatticeSet(h, box.cells[keep])
-        res = dense_ball_search(parabola, omega, [(0.25, 0.25)], max_centers=8)
-        assert res.density >= 0.05

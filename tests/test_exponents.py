@@ -234,6 +234,9 @@ class TestRegionRule:
             classify_triple((2, 3, F(3, 2)), reg)
         assert str(exc.value) == ("triple (p, q, r) = (2, 3, 3/2) violates p <= q <= r; "
                                   "for q > r use the interpolation analysis (interpolation_window)")
+        with pytest.raises(OrderingError) as exc:
+            classify_triple((2, 2, 2), reg)
+        assert str(exc.value) == "triple (p, q, r) = (2, 2, 2) requires r > p"
         with pytest.raises(ConfigError, match=r"exponent must lie in \[1, inf\], got 0.5"):
             classify_triple((0.5, 3, 3), reg)
 

@@ -110,6 +110,9 @@ def test_grid_function_matches_indicator():
 
 def test_empty_set_norm_is_zero():
     assert mixed_norm_indicator(LatticeSet.empty(H, 2), 2.0, 3.0) == 0.0
+    # a grid with no cells follows the same rule
+    for r in (3.0, math.inf):
+        assert mixed_norm_grid(np.zeros((0, 4)), H, 2.0, r) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
