@@ -361,9 +361,12 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
 
     Controls are piecewise constant on MC_CONTROL_PIECES intervals, sampled
     uniformly from the product box.  Paths are drawn from the one generator,
-    stepped and kept in blocks of ``ROUND_CHUNK``, so the controls never take
-    more than a block's memory; the draws and the paths' steps do not depend
-    on the block size.  Endpoints are binned into cells of edge ``h``.
+    stepped, kept and binned into cells of edge ``h`` in blocks of
+    ``ROUND_CHUNK``; the draws and the paths' steps do not depend on the block
+    size.  Kept end points go straight into the returned (paths, d+1) buffer,
+    and the cell keys seen so far are merged once the blocks' keys outnumber
+    them by a block, so beyond the end points and the cells it returns the
+    call takes one block's memory whatever ``paths`` is.
     """
     if paths < 1000:
         raise ConfigError("mc_ball requires paths >= 1000")
@@ -372,22 +375,27 @@ def mc_ball(model: ModelFamily, z0, delta1: float, delta2: float, paths: int, se
     if not model.contains(z0):
         raise ChartDomainError(f"ball center {z0.tolist()} outside chart domain")
     rng = np.random.default_rng(seed)
-    ends, stayed = [], []
+    endpoints = np.empty((paths, model.dim_z))
+    kept = 0
+    keys, pending = np.empty(0, dtype=np.int64), []
     for b0 in range(0, paths, ROUND_CHUNK):
         controls = rng.uniform(-1.0, 1.0, size=(min(ROUND_CHUNK, paths - b0), MC_CONTROL_PIECES, 2))
         controls *= (delta1, delta2)
         pts, pieces = integrate(model, np.tile(z0[:, None], (1, controls.shape[0])), controls, 1.0 / MC_CONTROL_PIECES)
-        ends.append(pts)
-        stayed.append(pieces)
-    alive = np.concatenate(stayed) == MC_CONTROL_PIECES
-    endpoints = np.concatenate(ends, axis=1).T[alive]  # the joined blocks are freed before binning
-    cells = LatticeSet.from_points(endpoints, h)
+        block = pts.T[pieces == MC_CONTROL_PIECES]
+        endpoints[kept:kept + block.shape[0]] = block
+        kept += block.shape[0]
+        pending.append(np.unique(encode_cells(points_to_cells(block, h))))
+        if sum(map(len, pending)) > keys.size + ROUND_CHUNK:  # a merge sorts under twice the pending keys
+            keys, pending = np.unique(np.concatenate([keys, *pending])), []
+    keys = np.unique(np.concatenate([keys, *pending]))
+    cells = LatticeSet(h, decode_keys(keys, model.dim_z), _sorted=True)
     return McBall(
-        endpoints=endpoints,
+        endpoints=endpoints[:kept],
         cells=cells,
         volume=cells.measure,
         n_paths=paths,
-        n_escaped=int((~alive).sum()),
+        n_escaped=paths - kept,
     )
 
 

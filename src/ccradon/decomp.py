@@ -68,8 +68,6 @@ def _dyadic_runs(rows: np.ndarray, u: np.ndarray, level: int):
     sorted by row and then by u, each pair once.  A block is the index of a
     dyadic interval of length 2^-lev offset by 2^lev, and count is the number of
     cells of its row in it.  Each cell is its own run at the finest level."""
-    if not u.size:
-        return
     if u.min() < -(1 << level) or u.max() >= 1 << level:
         raise ConfigError("1-D set exceeds [-1, 1]")
     block, cnt = u + (1 << level), np.ones(u.size, dtype=np.int64)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -393,30 +394,57 @@ class TestMcBall:
         assert lo <= mc.volume / ball.volume <= hi
 
     # (model, centre, endpoint rows, escaped paths, sha256 of the endpoint
-    # bytes) of 2,000 paths, seed 5, radii (1/4, 1/2): x1 moves by -a2, so
-    # paths from x1 = 0.9 leave the chart, and the last cubic centre leaves
-    # through t as well
+    # bytes, cells, sha256 of the cell keys) of 2,000 paths, seed 5, radii
+    # (1/4, 1/2), h = 2^-5: x1 moves by -a2, so paths from x1 = 0.9 leave the
+    # chart, and the last cubic centre leaves through t as well
     PINNED_MC = (
-        ("parabola", (0.0, 0.0, 0.0), 2000, 0, "8f289f2e54992fedb700db7a1d520babf21d33a5d3e7cbf444f01bdac8bd00fc"),
-        ("parabola", (0.9, 0.0, 0.0), 1465, 535, "6554b6facd9226dc0d4ba202cc6caf81c4dcbbec3da1a41eae1d4597f445450f"),
-        ("quartic", (0.1, 0.0, 0.2), 2000, 0, "2decf5cb3c411890bddfd1897de93fbd4cbc9a744bdd4a2c42902da31ceda26c"),
-        ("quartic", (0.9, 0.0, 0.0), 1465, 535, "902e99c2e9573c14d26a7ae9924ec8b8bdcd64d07d3117bfb3116f887f1e922d"),
-        ("cubic", (0.0, 0.0, 0.0, 0.0), 2000, 0, "b1ee0c0f7e65b079af1122ac39d6f109fc5e67e829c982e6601e70575a2e6353"),
-        ("cubic", (0.9, 0.0, 0.0, 0.0), 1465, 535, "c382789522711f1124b36a1f7074317749190c9a168d4d623bfe95b2715b9c9d"),
-        ("cubic", (0.9, 0.0, 0.0, 0.9), 894, 1106, "7078c70b3fc238bdd24661aa646b8bc4b571a76f0806bf10ea9a86aabe2a27ef"),
+        ("parabola", (0.0, 0.0, 0.0), 2000, 0, "8f289f2e54992fedb700db7a1d520babf21d33a5d3e7cbf444f01bdac8bd00fc",
+         212, "1d987a901dacefb727097c13d66499166d5c6e8ad8dad95ac98b3bb4a61766c0"),
+        ("parabola", (0.9, 0.0, 0.0), 1465, 535, "6554b6facd9226dc0d4ba202cc6caf81c4dcbbec3da1a41eae1d4597f445450f",
+         139, "8a582de6856ac637959b8c588ed56e5f0623e1367d6f64badcb61c9d9368fdc1"),
+        ("quartic", (0.1, 0.0, 0.2), 2000, 0, "2decf5cb3c411890bddfd1897de93fbd4cbc9a744bdd4a2c42902da31ceda26c",
+         251, "ad12cfba4d57ad619182db20139ad5ca33c5e90a210ad8eaf6cb2212cb30c0e2"),
+        ("quartic", (0.9, 0.0, 0.0), 1465, 535, "902e99c2e9573c14d26a7ae9924ec8b8bdcd64d07d3117bfb3116f887f1e922d",
+         141, "51553da18d82f3c996e3a2902f3615bcac44c7bb3f8ce16222bf549fccbe497b"),
+        ("cubic", (0.0, 0.0, 0.0, 0.0), 2000, 0, "b1ee0c0f7e65b079af1122ac39d6f109fc5e67e829c982e6601e70575a2e6353",
+         218, "26bb4eb6212154a1970693bf4a39413b39e003e26957f085333c68a8be9eadf8"),
+        ("cubic", (0.9, 0.0, 0.0, 0.0), 1465, 535, "c382789522711f1124b36a1f7074317749190c9a168d4d623bfe95b2715b9c9d",
+         141, "106b948962e1813ada2c563c398c35c328061b9002fb9d16c6d6e900c6f3ed87"),
+        ("cubic", (0.9, 0.0, 0.0, 0.9), 894, 1106, "7078c70b3fc238bdd24661aa646b8bc4b571a76f0806bf10ea9a86aabe2a27ef",
+         233, "0b2664b7728e327cfdf69ee80d05389124818e1f1545a3247ad1f6691ff4cdbc"),
     )
 
-    # the pins come from drawing and stepping all paths at once; 333-path
-    # blocks split each case into 7 blocks, the last one partial
+    # the end point pins come from drawing and stepping all paths at once, the
+    # cell pins from binning them all at once; 333-path blocks split each case
+    # into 7 blocks, the last one partial, whose cells recur across blocks
     @pytest.mark.parametrize("block", [None, 333], ids=["default", "block333"])
     def test_endpoints_pinned(self, models, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(ccball, "ROUND_CHUNK", block)
-        for name, z0, n_end, n_escaped, digest in self.PINNED_MC:
+        for name, z0, n_end, n_escaped, digest, n_cells, cells_digest in self.PINNED_MC:
             mc = mc_ball(models[name], z0, 0.25, 0.5, paths=2000, seed=5, h=2.0 ** -5)
             endpoints = np.ascontiguousarray(mc.endpoints, dtype="<f8")
             assert endpoints.shape == (n_end, len(z0)), (name, z0)
             assert (mc.n_escaped, hashlib.sha256(endpoints.tobytes()).hexdigest()) == (n_escaped, digest), (name, z0)
+            keys = np.ascontiguousarray(mc.cells.keys(), dtype="<i8")
+            assert (mc.cells.n_cells, hashlib.sha256(keys.tobytes()).hexdigest()) == (n_cells, cells_digest), (name, z0)
+
+    # one warm call's traced peak against the returned end points' bytes plus
+    # 4 MiB; the second case loses a quarter of its paths to the chart
+    @pytest.mark.parametrize("z0, radii", [((0.0, 0.0, 0.0), (1 / 8, 1 / 8)), ((0.9, 0.0, 0.0), (1 / 4, 1 / 2))],
+                             ids=["centre", "escaping"])
+    def test_memory_is_endpoints_plus_one_block(self, parabola, z0, radii):
+        paths = 200_000
+        mc_ball(parabola, z0, *radii, paths=paths, seed=1, h=2.0 ** -5)
+        tracemalloc.start()
+        try:
+            mc_ball(parabola, z0, *radii, paths=paths, seed=1, h=2.0 ** -5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = paths * len(z0) * 8 + 4 * 2 ** 20
+        print(f"mc_ball {paths} paths from {z0}: traced peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB")
+        assert peak <= bound, f"traced peak {peak / 2 ** 20:.2f} MiB > bound {bound / 2 ** 20:.2f} MiB"
 
     def test_requires_paths(self, parabola):
         with pytest.raises(ConfigError):
